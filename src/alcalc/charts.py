@@ -108,7 +108,7 @@ def minor_matrix(a_values: dict, i: int, i0: int, k0: int):
 def det_int_matrix(M, F: GF):
     n = len(M)
     if n == 1:
-        return M[0][0] % F.q if F.r == 1 else M[0][0]
+        return M[0][0] % F.q
 
     def det(rows):
         m = len(rows)

@@ -39,7 +39,6 @@ DEFAULTS = {
     "n": 3,
     "f": 1,
     "p": 53,
-    "q_max": 3,
     "trials": 100,
     "seed": 0,
     "t": 2,
@@ -48,6 +47,7 @@ DEFAULTS = {
     "out": None,
     "pair": 0,
 }
+FORMATS = ("json", "csv-summary")
 
 
 def _resolve(args, key):
@@ -57,6 +57,23 @@ def _resolve(args, key):
     if args.config_data and key in args.config_data:
         return args.config_data[key]
     return DEFAULTS[key]
+
+
+def _check_config_data(data):
+    """Config-file values must have the types the flags would give them."""
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    for key, val in data.items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if key == "format":
+            if val not in FORMATS:
+                raise ConfigError(f"config key 'format' must be one of {', '.join(FORMATS)}, got {val!r}")
+        elif key == "out":
+            if not isinstance(val, str):
+                raise ConfigError(f"config key 'out' must be a string, got {val!r}")
+        elif not isinstance(val, int) or isinstance(val, bool):
+            raise ConfigError(f"config key {key!r} must be an integer, got {val!r}")
 
 
 def _validate(cfg):
@@ -77,33 +94,12 @@ def _deep_omega(n: int, f: int, p: int) -> Weight:
 
 
 def _special_pairs(n: int, f: int):
-    """Normalized case-(a) special pairs (w, u, j0), canonically ordered."""
-    from itertools import product
-
-    i0, k0 = 0, n - 1
-    salpha = weyl.transposition(n, i0, k0)
-    out = []
-    seen = set()
-    for perms in product(weyl.all_perms(n), repeat=f):
-        for j0 in range(f):
-            wj = perms[j0]
-            uj = weyl.perm_mul(salpha, wj)
-            wd = weyl.restricted_lift_perm(wj)
-            ud = weyl.restricted_lift_perm(uj)
-            if weyl.aff_length(wd) != weyl.aff_length(ud) + 1:
-                continue
-            if not weyl.up_arrow_leq_aff(ud, wd):
-                continue
-            w = PermTuple.of(perms)
-            u = PermTuple.of([uj if j == j0 else perms[j] for j in range(f)])
-            if serre.classify_case(w, u, j0, i0, k0) == "B":
-                w, u, _ = serre.normalize_to_case_a(w, u, j0, i0, k0)
-            key = (w.perms, u.perms, j0)
-            if key not in seen:
-                seen.add(key)
-                out.append((w, u, j0))
-    out.sort(key=lambda t: (t[2], t[0].perms, t[1].perms))
-    return out
+    """Normalized case-(a) special pairs (w, u, j0), canonically ordered;
+    a ConfigError when there are none."""
+    pairs = serre.special_pairs(n, f)
+    if not pairs:
+        raise ConfigError(f"no special pairs exist for n = {n}")
+    return pairs
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -158,8 +154,6 @@ def cmd_shapes_classify(cfg, report: Report):
 def cmd_setup_build(cfg, report: Report):
     n, f, p = cfg["n"], cfg["f"], cfg["p"]
     pairs = _special_pairs(n, f)
-    if not pairs:
-        raise ConfigError(f"no special pairs exist for n = {n}")
     idx = cfg["pair"] % len(pairs)
     w, u, j0 = pairs[idx]
     sd = serre.build_setup(weyl.restricted_lift(w), weyl.restricted_lift(u), _deep_omega(n, f, p), p)
@@ -356,11 +350,9 @@ def cmd_verify_nabla(cfg, report: Report):
 def cmd_witness_triple(cfg, report: Report):
     n, f, p = cfg["n"], cfg["f"], cfg["p"]
     pairs = _special_pairs(n, f)
-    if not pairs:
-        raise ConfigError(f"no special pairs exist for n = {n}")
     w, u, _ = pairs[cfg["pair"] % len(pairs)]
     sd = serre.build_setup(weyl.restricted_lift(w), weyl.restricted_lift(u), _deep_omega(n, f, p), p)
-    res = witness.witness_triple_intersection(sd, t=cfg["t"], q_max_power=cfg["q_max"])
+    res = witness.witness_triple_intersection(sd, t=cfg["t"])
     flat_ok = all(v if not isinstance(v, list) else all(v) for v in res.checks.values())
     report.add("witness_triple_intersection", flat_ok, res.to_json())
     fam = witness.witness_family(sd, t=cfg["t"], count=cfg["count"])
@@ -418,14 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int)
     parser.add_argument("--f", type=int)
     parser.add_argument("--p", type=int)
-    parser.add_argument("--q-max", dest="q_max", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--t", type=int)
     parser.add_argument("--count", type=int)
     parser.add_argument("--pair", type=int)
     parser.add_argument("--out", type=str)
-    parser.add_argument("--format", choices=["json", "csv-summary"])
+    parser.add_argument("--format", choices=FORMATS)
     parser.add_argument("--config", type=str, help="JSON config file; flags take precedence")
     return parser
 
@@ -443,6 +434,11 @@ def run(argv=None) -> int:
                 args.config_data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return 1
+        try:
+            _check_config_data(args.config_data)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
     key = (args.group, args.action)
     if key not in HANDLERS:

@@ -1,0 +1,69 @@
+"""
+Determinants and adjugates by first-row Laplace expansion with shared
+minors.
+
+Entries may come from any ring whose elements have .add, .mul, .neg and
+.is_zero (truncated series, v-polynomials).  Every minor is stored under
+its (row indices, column indices), so a determinant costs 2^n minors
+instead of n! products and all n^2 adjugate cofactors reuse the same
+sub-minors.
+
+Zero rule: an expansion term with a zero entry is skipped only once the
+running sum exists.  The first term is always formed, so a series that is
+zero to some precision still bounds the precision of the result.
+"""
+
+from __future__ import annotations
+
+
+class Cofactors:
+    """Minors of one square matrix (a list of rows), computed on demand."""
+
+    def __init__(self, rows: list[list]):
+        self.rows = rows
+        self.n = len(rows)
+        self._minors: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
+
+    def minor(self, rs: tuple[int, ...], cs: tuple[int, ...]):
+        """Determinant of the submatrix on rows rs and columns cs (both
+        non-empty, equal length, increasing)."""
+        key = (rs, cs)
+        m = self._minors.get(key)
+        if m is None:
+            m = self._expand(rs, cs)
+            self._minors[key] = m
+        return m
+
+    def _expand(self, rs: tuple[int, ...], cs: tuple[int, ...]):
+        row = self.rows[rs[0]]
+        if len(rs) == 1:
+            return row[cs[0]]
+        rest = rs[1:]
+        acc = None
+        for k, c in enumerate(cs):
+            e = row[c]
+            if acc is not None and e.is_zero():
+                continue
+            term = e.mul(self.minor(rest, cs[:k] + cs[k + 1 :]))
+            if k % 2:
+                term = term.neg()
+            acc = term if acc is None else acc.add(term)
+        return acc
+
+    def det(self):
+        full = tuple(range(self.n))
+        return self.minor(full, full)
+
+    def adjugate(self) -> list[list]:
+        """adj[k][i] = (-1)^(i+k) * minor without row i and column k; needs
+        n >= 2 (the 1 x 1 adjugate is the ring's one, which the caller
+        supplies)."""
+        n = self.n
+        full = tuple(range(n))
+        drop = [full[:i] + full[i + 1 :] for i in range(n)]
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                m = self.minor(drop[i], drop[k])
+                out[k][i] = m.neg() if (i + k) % 2 else m
+        return out

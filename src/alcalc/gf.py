@@ -1,12 +1,7 @@
 """
-Finite fields F_q = F_p[T]/(g) with elements encoded as integers.
+Prime fields F_p with elements encoded as the integers 0..p-1.
 
-An element sum(c_i T^i) with 0 <= c_i < p is encoded as the integer
-sum(c_i p^i), so F_p elements are just 0..p-1.  The modulus g is the
-lexicographically smallest monic irreducible of the requested degree,
-recorded on the field object so reports can state it.
-
-For small q the multiplication table is precomputed (flat list indexed
+For small p the multiplication table is precomputed (flat list indexed
 by a*q+b), which keeps series arithmetic in the hot loops at list-lookup
 cost.
 """
@@ -29,172 +24,30 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, r) with q = p**r, or raise ValueError."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1 or not is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
-            return p, r
-    raise ValueError(f"{q} is not a prime power")
-
-
-def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    r = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for d in range(len(out) - 1, r - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for k in range(r):
-                out[d - r + k] = (out[d - r + k] - c * mod[k]) % p
-    return tuple(out[:r])
-
-
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Test a monic poly (low-to-high, degree r) over F_p for irreducibility
-    by checking it has no root pattern via gcd-free brute force: for the
-    small degrees used here (r <= 4) trial division by all monic polys of
-    degree <= r//2 is fast enough."""
-    r = len(coeffs) - 1
-
-    def poly_mod(num: list[int], den: tuple[int, ...]) -> list[int]:
-        num = num[:]
-        dd = len(den) - 1
-        inv = pow(den[-1], -1, p)
-        for d in range(len(num) - 1, dd - 1, -1):
-            c = (num[d] * inv) % p
-            if c:
-                for k in range(dd + 1):
-                    num[d - dd + k] = (num[d - dd + k] - c * den[k]) % p
-        while num and num[-1] == 0:
-            num.pop()
-        return num
-
-    def all_monic(deg: int):
-        for enc in range(p**deg):
-            cs = []
-            m = enc
-            for _ in range(deg):
-                cs.append(m % p)
-                m //= p
-            yield tuple(cs) + (1,)
-
-    for deg in range(1, r // 2 + 1):
-        for den in all_monic(deg):
-            if not poly_mod(list(coeffs), den):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree r over F_p
-    (coefficients low-to-high, constant term varies fastest)."""
-    if r == 1:
-        return (0, 1)
-    for enc in range(p**r):
-        cs = []
-        m = enc
-        for _ in range(r):
-            cs.append(m % p)
-            m //= p
-        cand = tuple(cs) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise RuntimeError("no irreducible found")  # unreachable
-
-
 class GF:
-    """Arithmetic in F_q on int-encoded elements."""
+    """Arithmetic in F_p on int-encoded elements; `q` is the field size,
+    which equals `p`."""
 
     def __init__(self, q: int):
-        p, r = _factor_prime_power(q)
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime: only prime fields are supported")
         self.q = q
-        self.p = p
-        self.r = r
-        self.modulus = _smallest_irreducible(p, r)
+        self.p = q
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
         if q <= _TABLE_MAX:
-            self._build_tables()
+            self._mul_table = [(a * b) % q for a in range(q) for b in range(q)]
+            self._inv_table = [0] + [pow(a, -1, q) for a in range(1, q)]
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
-    def modulus_str(self) -> str:
-        terms = []
-        for i, c in enumerate(self.modulus):
-            if c:
-                terms.append(f"{c}*T^{i}" if i else str(c))
-        return " + ".join(terms)
-
-    # -- encoding helpers -------------------------------------------------
-    def _decode(self, a: int) -> tuple[int, ...]:
-        cs = []
-        for _ in range(self.r):
-            cs.append(a % self.p)
-            a //= self.p
-        return tuple(cs)
-
-    def _encode(self, cs: tuple[int, ...]) -> int:
-        out = 0
-        for c in reversed(cs):
-            out = out * self.p + c
-        return out
-
-    def _build_tables(self) -> None:
-        q = self.q
-        mul = [0] * (q * q)
-        for a in range(q):
-            da = self._decode(a)
-            for b in range(a, q):
-                v = self._encode(_poly_mulmod(da, self._decode(b), self.modulus, self.p))
-                mul[a * q + b] = v
-                mul[b * q + a] = v
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
-
     # -- field operations --------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        m = 1
-        for _ in range(self.r):
-            out += ((a % p + b % p) % p) * m
-            a //= p
-            b //= p
-            m *= p
-        return out
+        return (a + b) % self.p
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        m = 1
-        for _ in range(self.r):
-            out += ((-(a % p)) % p) * m
-            a //= p
-            m *= p
-        return out
+        return (-a) % self.p
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -202,35 +55,20 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
-        if self.r == 1:
-            return (a * b) % self.p
-        return self._encode(_poly_mulmod(self._decode(a), self._decode(b), self.modulus, self.p))
+        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF")
         if self._inv_table is not None:
             return self._inv_table[a]
-        if self.r == 1:
-            return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
     def from_int(self, m: int) -> int:
-        """Image of the rational integer m under Z -> F_p -> F_q."""
+        """Image of the rational integer m in F_p."""
         return m % self.p
 
     def rand(self, rng) -> int:
@@ -242,6 +80,7 @@ class GF:
 
 @lru_cache(maxsize=None)
 def field(q: int) -> GF:
+    """The prime field F_q; raises ValueError when q is not prime."""
     return GF(q)
 
 
@@ -254,7 +93,7 @@ class FElem:
 
     def __init__(self, F: GF, a: int):
         self.F = F
-        self.a = a % F.q if F.r == 1 else a
+        self.a = a % F.q
 
     def __add__(self, o: "FElem") -> "FElem":
         return FElem(self.F, self.F.add(self.a, o.a))

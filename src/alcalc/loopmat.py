@@ -1,6 +1,6 @@
 """
 Exact n x n matrices over truncated Laurent series, with the Iwahori
-structure of the loop group of GL_n over F_q((v)): membership tests,
+structure of the loop group of GL_n over F_p((v)): membership tests,
 affine Bruhat (Iwahori double coset) decomposition by valuation-pivot
 elimination, the mod-p monodromy check, and the legal-row-operation
 reduction used by the colength-one chart analysis.
@@ -14,6 +14,7 @@ column operations.
 
 from __future__ import annotations
 
+from .cofactor import Cofactors
 from .gf import GF
 from .series import Series
 
@@ -91,52 +92,25 @@ class LoopMatrix:
         return LoopMatrix(self.F, [[e.mul(s) for e in row] for row in self.rows])
 
     def det(self) -> Series:
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        acc = None
-        for k in range(n):
-            e = self.rows[0][k]
-            if e.is_zero() and acc is not None:
-                continue
-            sub = LoopMatrix(self.F, [[self.rows[i][m] for m in range(n) if m != k] for i in range(1, n)])
-            term = e.mul(sub.det())
-            if k % 2:
-                term = term.neg()
-            acc = term if acc is None else acc.add(term)
-        return acc
+        return Cofactors(self.rows).det()
 
     def adjugate(self) -> "LoopMatrix":
-        n = self.n
-        F = self.F
-        if n == 1:
-            return LoopMatrix(F, [[Series.one(F, self.rows[0][0].prec)]])
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                sub = LoopMatrix(
-                    F,
-                    [[self.rows[r][c] for c in range(n) if c != k] for r in range(n) if r != i],
-                )
-                m = sub.det()
-                if (i + k) % 2:
-                    m = m.neg()
-                out[k][i] = m
-        return LoopMatrix(F, out)
+        return self._adjugate(Cofactors(self.rows))
+
+    def _adjugate(self, cof: Cofactors) -> "LoopMatrix":
+        if self.n == 1:
+            return LoopMatrix(self.F, [[Series.one(self.F, self.rows[0][0].prec)]])
+        return LoopMatrix(self.F, cof.adjugate())
 
     def inverse(self) -> "LoopMatrix":
-        d = self.det()
+        cof = Cofactors(self.rows)
+        d = cof.det()
         if d.is_zero():
             raise SingularMatrixError("matrix singular to working precision")
-        dinv = d.inverse()
-        return self.adjugate().scale(dinv)
+        return self._adjugate(cof).scale(d.inverse())
 
     def derivative(self) -> "LoopMatrix":
         return LoopMatrix(self.F, [[e.derivative() for e in row] for row in self.rows])
-
-    def conjugate_by(self, X: "LoopMatrix") -> "LoopMatrix":
-        """Ad_X(self) = X * self * X^{-1}."""
-        return X.mul(self).mul(X.inverse())
 
     def eq(self, other: "LoopMatrix") -> bool:
         return all(self.rows[i][k] == other.rows[i][k] for i in range(self.n) for k in range(self.n))

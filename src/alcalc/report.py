@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass

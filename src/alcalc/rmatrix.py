@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cofactor import Cofactors
 from .pval import PVal
 
 
@@ -90,12 +91,6 @@ class VPoly:
     def eval0(self) -> PVal:
         return self.coeff(0)
 
-    def eval_at(self, x: PVal) -> PVal:
-        acc = PVal.zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def divide_v_plus_p(self) -> tuple["VPoly", PVal]:
         """(quotient, remainder) for division by the monic (v + p):
         synthetic division at the root v = -p."""
@@ -154,42 +149,15 @@ class PMatrix:
         return PMatrix(self.p, [[e.derivative() for e in row] for row in self.rows])
 
     def det(self) -> VPoly:
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        acc = VPoly.zero(self.p)
-        for k in range(n):
-            e = self.rows[0][k]
-            if e.is_zero():
-                continue
-            sub = PMatrix(self.p, [[self.rows[i][m] for m in range(n) if m != k] for i in range(1, n)])
-            term = e.mul(sub.det())
-            if k % 2:
-                term = term.neg()
-            acc = acc.add(term)
-        return acc
+        return Cofactors(self.rows).det()
 
     def adjugate(self) -> "PMatrix":
-        n = self.n
-        if n == 1:
+        if self.n == 1:
             return PMatrix.identity(self.p, 1)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                sub = PMatrix(self.p, [[self.rows[r][c] for c in range(n) if c != k] for r in range(n) if r != i])
-                m = sub.det()
-                if (i + k) % 2:
-                    m = m.neg()
-                out[k][i] = m
-        return PMatrix(self.p, out)
+        return PMatrix(self.p, Cofactors(self.rows).adjugate())
 
     def diag_mod_v(self) -> list[PVal]:
         return [self.rows[i][i].eval0() for i in range(self.n)]
-
-    def scale_rowcol_perm(self, perm: tuple[int, ...]) -> "PMatrix":
-        """conj^{-1} * self * conj for the permutation matrix of `perm`:
-        entry (i,k) of the result is self[perm(i)][perm(k)]."""
-        return PMatrix(self.p, [[self.rows[perm[i]][perm[k]] for k in range(self.n)] for i in range(self.n)])
 
     def to_json(self):
         return [[{str(d): repr(e.coeff(d)) for d in range(e.degree() + 1)} for e in row] for row in self.rows]
@@ -286,54 +254,22 @@ def frobenius_minors_f(charts: list[PMatrix], s_perms: list[tuple[int, ...]], p:
     diagonal part of chart j mod v and w_j the supplied conjugators."""
     f = len(charts)
     n = charts[0].n
-    prod = [[PVal.one(p) if i == k else PVal.zero(p) for k in range(n)] for i in range(n)]
-
-    def matmul(X, Y):
-        return [[sum((X[i][m] * Y[m][k] for m in range(n)), PVal.zero(p)) for k in range(n)] for i in range(n)]
-
+    # every factor is diagonal, so the product is the diagonal `prod`, its
+    # inverse is diagonal, and the leading minors are running products
+    prod = [PVal.one(p)] * n
     for j in range(f - 1, -1, -1):
         dbar = charts[j].diag_mod_v()
         w = s_perms[j]
         winv = [0] * n
         for i, wi in enumerate(w):
             winv[wi] = i
-        conj = [[dbar[winv[i]] if i == k else PVal.zero(p) for k in range(n)] for i in range(n)]
-        prod = matmul(prod, conj)
-
-    def det(M):
-        m = len(M)
-        if m == 0:
-            return PVal.one(p)
-        if m == 1:
-            return M[0][0]
-        acc = PVal.zero(p)
-        for k in range(m):
-            sub = [[M[i][c] for c in range(m) if c != k] for i in range(1, m)]
-            term = M[0][k] * det(sub)
-            if k % 2:
-                term = -term
-            acc = acc + term
-        return acc
-
-    dp = det(prod)
-    if dp.is_zero():
+        prod = [prod[i] * dbar[winv[i]] for i in range(n)]
+    if any(d.is_zero() for d in prod):
         raise ZeroDivisionError("singular Frobenius product")
-    # inverse by adjugate
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            sub = [[prod[r][c] for c in range(n) if c != k] for r in range(n) if r != i]
-            m = det(sub)
-            if (i + k) % 2:
-                m = -m
-            inv[k][i] = m / dp
     values = []
+    minor = PVal.one(p)
     for i in range(1, n + 1):
-        minor = det([[inv[r][c] for c in range(i)] for r in range(i)])
-        norm = PVal.of(p, p)
+        minor = minor * prod[i - 1].inverse()
         e = f * i * (2 * n - i - 1) // 2
-        scalar = PVal.one(p)
-        for _ in range(e):
-            scalar = scalar * norm
-        values.append(scalar * minor)
+        values.append(PVal.of(p**e, p) * minor)
     return FrobeniusResult(values, p, f, n)

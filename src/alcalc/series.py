@@ -1,5 +1,5 @@
 """
-Truncated Laurent series over a finite field.
+Truncated Laurent series over a prime field.
 
 A series carries (valuation, coefficient list, precision): coefficients
 are known exactly for degrees val .. prec-1 and unknown from prec on.
@@ -66,17 +66,12 @@ class Series:
         hi = max(pairs)
         cs = [0] * (hi - lo + 1)
         for d, c in pairs.items():
-            cs[d - lo] = c % F.q if F.r == 1 else c
+            cs[d - lo] = c % F.q
         return Series(F, lo, cs, prec)
 
     # -- queries -------------------------------------------------------------
     def is_zero(self) -> bool:
         """Zero to working precision."""
-        return not self.coeffs
-
-    def is_exact_zero_guarded(self) -> bool:
-        if not self.coeffs and self.prec < 10**9:
-            return True
         return not self.coeffs
 
     def valuation(self) -> int:
@@ -230,6 +225,3 @@ class Series:
             if d != 0 and c:
                 out[d - 1] = F.mul(F.from_int(d), c)
         return Series.from_coeffs(F, out, self.prec - 1)
-
-    def truncate(self, prec: int) -> "Series":
-        return Series(self.F, self.val, self.coeffs[:], min(self.prec, prec))

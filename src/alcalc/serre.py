@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .pval import PVal
 from .weyl import (
@@ -63,6 +64,10 @@ class DepthError(ValueError):
 
 class NonOrdinaryError(ValueError):
     pass
+
+
+class InvariantError(ArithmeticError):
+    """An internal consistency check failed; this is a bug, not bad input."""
 
 
 # -- Serre weight equality mod (p - pi)X^0 ----------------------------------------
@@ -127,7 +132,8 @@ class SerreWeightLAP:
 def presentation_to_weight(lap: SerreWeightLAP) -> Weight:
     """lambda = pi^{-1}(w~) . (omega - eta); the output is p-restricted."""
     lam = dot_action(pi_twist(lap.wtilde, -1), lap.omega.sub(Weight.eta(lap.n, lap.f)), lap.p)
-    assert is_p_restricted(lam, lap.p)
+    if not is_p_restricted(lam, lap.p):
+        raise InvariantError("the presentation does not give a p-restricted weight")
     return lam
 
 
@@ -152,14 +158,6 @@ def lowest_alcove_presentation(lam: Weight, p: int) -> SerreWeightLAP:
         nu = tuple(c // p for c in mu)
         wt_comps[(j - 1) % f] = (nu, w)
     return SerreWeightLAP(ExtAffine.from_components(wt_comps), Weight.of(omega_rows), p)
-
-
-def lap_weight_canonical(lap: SerreWeightLAP) -> Weight:
-    return serre_canonical(presentation_to_weight(lap), lap.p)
-
-
-def serre_lap_eq(l1: SerreWeightLAP, l2: SerreWeightLAP) -> bool:
-    return l1.p == l2.p and serre_eq(presentation_to_weight(l1), presentation_to_weight(l2), l1.p)
 
 
 # -- tame inertial types --------------------------------------------------------------
@@ -408,25 +406,29 @@ def normalize_to_case_a(w: PermTuple, u: PermTuple, j0: int, i0: int, k0: int):
     return w2, u2, delta
 
 
-def is_special(w_diamond: ExtAffine):
-    """Certificate that the restricted element is special, or None.
+def _special_partner(w: tuple[int, ...]):
+    """The one-embedding specialness test: u = s_alpha w for
+    alpha = alpha_{0,n-1} (the only root avoiding every proper standard
+    Levi) when l(w^d) = l(u^d) + 1 and u^d up-arrow w^d; else None."""
+    n = len(w)
+    u = perm_mul(transposition(n, 0, n - 1), w)
+    wd = restricted_lift_perm(w)
+    ud = restricted_lift_perm(u)
+    if aff_length(wd) == aff_length(ud) + 1 and up_arrow_leq_aff(ud, wd):
+        return u
+    return None
 
-    Searches the embeddings j0 for alpha = sigma_{j0}(alpha_{0,n-1}) (the
-    only root avoiding every proper standard Levi) such that u := s_alpha w
-    at j0 satisfies l(w^d) = l(u^d) + 1 and u^d up-arrow w^d."""
+
+def is_special(w_diamond: ExtAffine):
+    """Certificate that the restricted element is special, or None: the
+    first embedding j0 at which the one-embedding test passes."""
     if not is_restricted(w_diamond):
         raise ValueError("specialness is defined for restricted elements")
     n, f = w_diamond.n, w_diamond.f
     i0, k0 = 0, n - 1
-    s_alpha = transposition(n, i0, k0)
     for j0 in range(f):
-        wj = w_diamond.w.perms[j0]
-        uj = perm_mul(s_alpha, wj)
-        wd = restricted_lift_perm(wj)
-        ud = restricted_lift_perm(uj)
-        if aff_length(wd) != aff_length(ud) + 1:
-            continue
-        if not up_arrow_leq_aff(ud, wd):
+        uj = _special_partner(w_diamond.w.perms[j0])
+        if uj is None:
             continue
         u = PermTuple.of([uj if j == j0 else w_diamond.w.perms[j] for j in range(f)])
         case = classify_case(w_diamond.w, u, j0, i0, k0)
@@ -436,12 +438,36 @@ def is_special(w_diamond: ExtAffine):
 
 def special_perms(n: int) -> list[tuple[int, ...]]:
     """All w in W (f = 1) with w^diamond special, by the direct test."""
-    out = []
+    return sorted(w for w in all_perms(n) if _special_partner(w) is not None)
+
+
+def special_pairs(n: int, f: int) -> list[tuple[PermTuple, PermTuple, int]]:
+    """All special pairs (w, u, j0) with w and u differing at j0 only,
+    case-B pairs normalized to case A, without repeats and sorted by
+    (j0, w, u).
+
+    Specialness and the case-A normalization only look at embedding j0,
+    so each permutation is tested once and the normalized (w_j0, u_j0)
+    heads are then combined with every choice at the other embeddings."""
+    i0, k0 = 0, n - 1
+    heads = set()
     for w in all_perms(n):
-        wd = restricted_lift(PermTuple.of([w]))
-        if is_special(wd) is not None:
-            out.append(w)
-    return sorted(out)
+        u = _special_partner(w)
+        if u is None:
+            continue
+        wt, ut = PermTuple.of([w]), PermTuple.of([u])
+        if classify_case(wt, ut, 0, i0, k0) == "B":
+            wt, ut, _ = normalize_to_case_a(wt, ut, 0, i0, k0)
+        heads.add((wt.perms[0], ut.perms[0]))
+    out = []
+    for j0 in range(f):
+        for rest in product(all_perms(n), repeat=f - 1):
+            for wj, uj in heads:
+                w = PermTuple.of(rest[:j0] + (wj,) + rest[j0:])
+                u = PermTuple.of(rest[:j0] + (uj,) + rest[j0:])
+                out.append((w, u, j0))
+    out.sort(key=lambda t: (t[2], t[0].perms, t[1].perms))
+    return out
 
 
 def enumerate_special(n: int, f: int):
@@ -453,9 +479,9 @@ def enumerate_special(n: int, f: int):
     per_class: dict[tuple, bool] = {}
     for w in all_perms(n):
         key = aff_profile_key(restricted_lift_perm(w))
-        sp = is_special(restricted_lift(PermTuple.of([w]))) is not None
-        if key in per_class:
-            assert per_class[key] == sp, "specialness is not constant on an S-coset"
+        sp = _special_partner(w) is not None
+        if per_class.get(key, sp) != sp:
+            raise InvariantError(f"specialness is not constant on the S-coset of {w}")
         per_class[key] = sp
     classes = list(per_class.values())
     total = len(classes) ** f
@@ -537,15 +563,6 @@ def a_tau_vector(tp: TameTypePresentation) -> tuple[tuple[int, ...], ...]:
         perm_act_vec(perm_inv(tp.s.perms[j]), tuple(a + e for a, e in zip(tp.mu.rows[j], eta)))
         for j in range(tp.f)
     )
-
-
-def is_n_generic_vector(a: tuple[int, ...], n: int, p: int) -> bool:
-    """Pairwise gaps avoid [-n, n] mod p (conservative n-genericity)."""
-    for i in range(len(a)):
-        for k in range(len(a)):
-            if i != k and min((a[i] - a[k]) % p, (a[k] - a[i]) % p) <= n:
-                return False
-    return True
 
 
 def build_setup(w_diamond: ExtAffine, u_diamond: ExtAffine, omega: Weight, p: int) -> SetupData:

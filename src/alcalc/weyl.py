@@ -85,11 +85,6 @@ def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(n))]
 
 
-def inversions(w: Perm) -> int:
-    n = len(w)
-    return sum(1 for i in range(n) for k in range(i + 1, n) if w[i] > w[k])
-
-
 # -- roots ---------------------------------------------------------------------
 
 
@@ -305,9 +300,6 @@ class _WordTable:
             return self.words[x]
         except KeyError:
             raise ValueError(f"element of length {l} not reached by BFS: not in W_a?") from None
-
-    def bfs_distance(self, x: Aff) -> int:
-        return len(self.word(x))
 
 
 @lru_cache(maxsize=None)
@@ -537,9 +529,6 @@ class PermTuple:
     def inv(self) -> "PermTuple":
         return PermTuple(tuple(perm_inv(p) for p in self.perms))
 
-    def act(self, w: Weight) -> Weight:
-        return Weight(tuple(perm_act_vec(p, r) for p, r in zip(self.perms, w.rows)))
-
     def to_json(self):
         return [list(p) for p in self.perms]
 
@@ -600,9 +589,6 @@ class AlcoveProfile:
     m: dict[tuple[int, tuple[int, int]], int]
     restricted: tuple[bool, ...]
     regular: tuple[bool, ...]
-
-    def m_at(self, j: int, root: tuple[int, int]) -> int:
-        return self.m[(j, root)]
 
 
 # -- spec operations on the f-tuple types -----------------------------------------

@@ -38,6 +38,7 @@ from .gf import GF, FElem, field
 from .loopmat import LoopMatrix, affine_bruhat_decompose, default_precision, iwahori_row_reduce, nabla_check
 from .mpoly import SolveError
 from .pval import PVal
+from .report import SCHEMA_VERSION
 from .rmatrix import FrobeniusResult, PMatrix, frobenius_minors_f, nabla_certify
 from .serre import SetupData
 from .series import Series
@@ -67,7 +68,7 @@ class WitnessResult:
 
     def to_json(self):
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "setup": self.setup.to_json(),
             "field": {"q": self.field_q, "p": self.setup.p},
             "point": self.point.to_json(),
@@ -254,7 +255,6 @@ def _extremal_tops_from_L(L: LoopMatrix, shape: ChartShape):
 def witness_triple_intersection(
     setup: SetupData,
     t: int,
-    q_max_power: int = 3,
     family_index: int = 0,
 ) -> WitnessResult:
     """Construct and fully check a triple-intersection witness at the
@@ -262,28 +262,15 @@ def witness_triple_intersection(
     value: colength-one chart data at the distinguished embedding,
     extremal chart data elsewhere.  family_index deterministically varies
     the free chart coordinates, giving the infinite-family direction."""
-    n, p = setup.n, setup.p
+    p = setup.p
     if t % p == 0:
         raise WitnessError("t must be a unit mod p")
     u = setup.u().perms[setup.j0]
     m_alpha = aff_m(restricted_lift_perm(u), (setup.i0, setup.k0))
-
-    last_error = None
-    for power in range(1, q_max_power + 1):
-        q = p**power
-        if power > 1:
-            last_error = WitnessError(
-                f"field escalation to q = {q} requested, but integral lifting of the Hecke data "
-                f"is implemented for q = p; the q = p attempt failed with: {last_error}"
-            )
-            break
-        F = field(q)
-        try:
-            return _witness_at_field(setup, F, t, family_index, m_alpha)
-        except (GenericityError, SolveError, WitnessError) as exc:  # pragma: no cover - escalation path
-            last_error = exc
-            continue
-    raise WitnessError(f"no witness found within the configured fields: {last_error}")
+    try:
+        return _witness_at_field(setup, field(p), t, family_index, m_alpha)
+    except (GenericityError, SolveError) as exc:
+        raise WitnessError(f"no witness found over F_{p}: {exc}") from exc
 
 
 def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alpha: int) -> WitnessResult:

@@ -19,12 +19,11 @@ from alcalc.mpoly import GFAdapter
 from alcalc.pval import PVal
 from alcalc.serre import (
     build_setup,
-    classify_case,
     depth_genericity,
     enumerate_special,
     gl2_f2_jh,
-    normalize_to_case_a,
     serre_eq,
+    special_pairs,
 )
 from alcalc.weyl import (
     Colength,
@@ -46,13 +45,10 @@ from alcalc.weyl import (
     length,
     negative_roots,
     perm_act_vec,
-    perm_mul,
     random_reduced_word,
     restricted_alcove_classes,
     restricted_lift,
     restricted_lift_perm,
-    transposition,
-    up_arrow_leq_aff,
 )
 from alcalc.witness import extremal_chart_point, witness_family, witness_triple_intersection
 
@@ -62,28 +58,6 @@ P_MAIN = 53
 def _deep_omega(n, f, p):
     g = p // (n + 1)
     return Weight.of([tuple(g * (n - 1 - i) for i in range(n))] * f)
-
-
-def _special_pairs(n, f):
-    """All (w, u, j0) speciality configurations, case-B ones normalized."""
-    i0, k0 = 0, n - 1
-    salpha = transposition(n, i0, k0)
-    out = []
-    for perms in itertools.product(all_perms(n), repeat=f):
-        for j0 in range(f):
-            uj = perm_mul(salpha, perms[j0])
-            wd = restricted_lift_perm(perms[j0])
-            ud = restricted_lift_perm(uj)
-            if aff_length(wd) != aff_length(ud) + 1:
-                continue
-            if not up_arrow_leq_aff(ud, wd):
-                continue
-            w = PermTuple.of(perms)
-            u = PermTuple.of([uj if j == j0 else perms[j] for j in range(f)])
-            if classify_case(w, u, j0, i0, k0) == "B":
-                w, u, _ = normalize_to_case_a(w, u, j0, i0, k0)
-            out.append((w, u, j0))
-    return out
 
 
 def test_criterion_01_restricted_alcove_count():
@@ -163,7 +137,7 @@ def test_criterion_05_setup_shape_contract():
     for n in (3, 4):
         for f in (1, 2):
             omega = _deep_omega(n, f, p)
-            for (w, u, j0_orig) in _special_pairs(n, f):
+            for (w, u, j0_orig) in special_pairs(n, f):
                 sd = build_setup(restricted_lift(w), restricted_lift(u), omega, p)
                 for j in range(f):
                     want = Colength.COLENGTH_ONE if j == sd.j0 else Colength.EXTREMAL
@@ -200,7 +174,7 @@ def test_criterion_07_partition_lemma():
     checked = 0
     for n in (3, 4):
         for f in (1, 2):
-            for (w, u, j0) in _special_pairs(n, f):
+            for (w, u, j0) in special_pairs(n, f):
                 assert partition_lemma_check(u.perms[j0], w.perms[j0], n), f"partition fails at {(n, f, w.perms)}"
                 checked += 1
     elapsed = time.time() - t0
@@ -219,7 +193,7 @@ def test_criterion_08_z_structure():
     for n in (3, 4):
         ms = [
             (w.perms[0], u.perms[0])
-            for (w, u, _) in _special_pairs(n, 1)
+            for (w, u, _) in special_pairs(n, 1)
             if aff_m(restricted_lift_perm(u.perms[0]), (0, n - 1)) > 0
         ]
         if n == 3:

@@ -69,7 +69,7 @@ class TestFormats:
         rep = Report(command="x", config={"n": 2})
         data = json.loads(emit_report(rep, "json"))
         assert data["checks"] == []
-        assert data["schema_version"] == "1"
+        assert data["schema_version"] == "2"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -94,6 +94,38 @@ class TestFormats:
         code = run(["alcoves", "enumerate", "--config", str(cfgfile), "--n", "3", "--out", str(outfile)])
         data = json.loads(outfile.read_text())
         assert data["config"]["n"] == 3
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ('{"n": "4"}', "'n'"),
+            ('{"trials": true}', "'trials'"),
+            ('{"p": 53.0}', "'p'"),
+            ('{"format": "yaml"}', "'format'"),
+            ('{"out": 3}', "'out'"),
+            ('{"q_max": 3}', "'q_max'"),
+            ("[4]", "JSON object"),
+        ],
+    )
+    def test_bad_values_exit_one_with_message(self, tmp_path, capsys, content, named):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(content)
+        assert run(["alcoves", "special", "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+
+    def test_valid_values_accepted(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 4, "f": 2, "format": "csv-summary", "out": str(tmp_path / "r.csv")}))
+        assert run(["alcoves", "special", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "r.csv").read_text().startswith("check,passed,detail")
+
+    def test_q_max_flag_is_gone(self, capsys):
+        assert run(["witness", "triple", "--q-max", "0"]) == 1
+        assert "unrecognized arguments: --q-max" in capsys.readouterr().err
 
 
 class TestConsoleEntry:

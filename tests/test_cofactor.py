@@ -1,0 +1,127 @@
+"""The shared cofactor kernel against a plain recursive Laplace expansion,
+on loop matrices (truncated series) and integral v-polynomial matrices."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from alcalc.gf import field
+from alcalc.loopmat import LoopMatrix, SingularMatrixError
+from alcalc.pval import PVal
+from alcalc.rmatrix import PMatrix, VPoly
+from alcalc.series import Series
+
+
+def laplace_det(rows):
+    """First-row expansion, recomputing every minor; a zero entry is
+    skipped only once the running sum exists."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for k in range(n):
+        e = rows[0][k]
+        if e.is_zero() and acc is not None:
+            continue
+        term = e.mul(laplace_det([[rows[i][m] for m in range(n) if m != k] for i in range(1, n)]))
+        if k % 2:
+            term = term.neg()
+        acc = term if acc is None else acc.add(term)
+    return acc
+
+
+def laplace_adjugate(rows):
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            m = laplace_det([[rows[r][c] for c in range(n) if c != k] for r in range(n) if r != i])
+            out[k][i] = m.neg() if (i + k) % 2 else m
+    return out
+
+
+def same_series(a, b):
+    return (a.val, a.coeffs, a.prec) == (b.val, b.coeffs, b.prec)
+
+
+def random_series(F, rng):
+    prec = rng.randrange(4, 12)
+    if rng.random() < 0.2:
+        return Series.zero(F, prec)  # zero to precision
+    lo = rng.randrange(-2, 3)
+    return Series.from_coeffs(F, {d: rng.randrange(F.q) for d in range(lo, lo + rng.randrange(1, 5))}, prec)
+
+
+def random_loop_matrix(F, n, rng):
+    rows = [[random_series(F, rng) for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        if rng.random() < 0.3:
+            rows[0][k] = Series.zero(F, rng.randrange(4, 12))
+    return LoopMatrix(F, rows)
+
+
+def random_vpoly(p, rng):
+    if rng.random() < 0.25:
+        return VPoly.zero(p)
+    coeffs = []
+    for _ in range(rng.randrange(1, 4)):
+        c = PVal.of(Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, p])), p)
+        if rng.random() < 0.2:
+            c = c + PVal.sqrt_p(p, rng.randrange(-3, 4))
+        coeffs.append(c)
+    return VPoly(p, coeffs)
+
+
+class TestLoopMatrixKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_det_adjugate_inverse_match_laplace(self, n):
+        rng = random.Random(100 + n)
+        F = field(7)
+        for _ in range(12 if n < 5 else 4):
+            A = random_loop_matrix(F, n, rng)
+            d = laplace_det(A.rows)
+            assert same_series(A.det(), d)
+            if n == 1:
+                expect_adj = [[Series.one(F, A.rows[0][0].prec)]]
+            else:
+                expect_adj = laplace_adjugate(A.rows)
+            adj = A.adjugate()
+            assert all(same_series(adj.rows[i][k], expect_adj[i][k]) for i in range(n) for k in range(n))
+            if d.is_zero():
+                with pytest.raises(SingularMatrixError):
+                    A.inverse()
+                continue
+            dinv = d.inverse()
+            inv = A.inverse()
+            assert all(
+                same_series(inv.rows[i][k], expect_adj[i][k].mul(dinv)) for i in range(n) for k in range(n)
+            )
+
+    def test_zero_first_entry_still_bounds_precision(self):
+        F = field(5)
+        A = LoopMatrix(
+            F,
+            [
+                [Series.zero(F, 3), Series.one(F, 20)],
+                [Series.one(F, 20), Series.one(F, 20)],
+            ],
+        )
+        d = A.det()
+        assert same_series(d, laplace_det(A.rows))
+        assert d.prec == 3
+
+
+class TestPMatrixKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_det_adjugate_match_laplace(self, n):
+        rng = random.Random(200 + n)
+        p = 5
+        for _ in range(6 if n < 5 else 2):
+            A = PMatrix(p, [[random_vpoly(p, rng) for _ in range(n)] for _ in range(n)])
+            if rng.random() < 0.5:
+                A.rows[0][0] = VPoly.zero(p)
+            assert A.det().coeffs == laplace_det(A.rows).coeffs
+            adj = A.adjugate()
+            expect = [[VPoly.const(p, PVal.one(p))]] if n == 1 else laplace_adjugate(A.rows)
+            assert all(adj.rows[i][k].coeffs == expect[i][k].coeffs for i in range(n) for k in range(n))

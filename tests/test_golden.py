@@ -1,0 +1,57 @@
+"""Byte-for-byte golden reports: one per subcommand at cheap, fixed
+arguments, plus one csv-summary report.
+
+Regenerate the files (only when a report change is intended) with
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from alcalc.cli import run
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "alcoves_enumerate.json": ["alcoves", "enumerate", "--n", "4"],
+    "alcoves_special.json": ["alcoves", "special", "--n", "4", "--f", "2"],
+    "shapes_classify.json": ["shapes", "classify", "--n", "3", "--f", "2"],
+    "setup_build.json": ["setup", "build", "--n", "4", "--f", "1", "--pair", "3"],
+    "verify_weyl.json": ["verify", "weyl", "--n", "3", "--trials", "20", "--seed", "1"],
+    "verify_minors.json": ["verify", "minors", "--n", "5", "--trials", "20", "--seed", "1"],
+    "verify_z.json": ["verify", "z", "--trials", "3", "--seed", "1"],
+    "verify_partition.json": ["verify", "partition"],
+    "verify_nabla.json": ["verify", "nabla", "--trials", "12", "--seed", "1"],
+    "verify_bruhat.json": ["verify", "bruhat", "--n", "3", "--trials", "20", "--seed", "1"],
+    "witness_triple.json": ["witness", "triple", "--n", "4", "--f", "1", "--pair", "1", "--t", "5", "--count", "2"],
+    "predicates_fi.json": ["predicates", "fi", "--n", "4", "--f", "2", "--trials", "3", "--seed", "1"],
+    "alcoves_special.csv": ["alcoves", "special", "--n", "3", "--f", "3", "--format", "csv-summary"],
+}
+
+
+def _emit(argv) -> tuple[int, bytes]:
+    buf = io.BytesIO()
+    with contextlib.redirect_stdout(io.TextIOWrapper(buf, encoding="utf-8")) as out:
+        code = run(argv)
+        out.flush()
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name):
+    code, payload = _emit(CASES[name])
+    assert code == 0
+    assert payload == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, payload = _emit(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / name).write_bytes(payload)

@@ -20,6 +20,12 @@ from alcalc.loopmat import (
 from alcalc.series import InsufficientPrecisionError, Series
 
 
+class TestPrimeField:
+    def test_non_prime_rejected(self):
+        with pytest.raises(ValueError, match="not prime"):
+            field(25)
+
+
 class TestSeries:
     def test_basic_arithmetic(self):
         F = field(7)

@@ -11,6 +11,7 @@ from alcalc.pval import PVal
 from alcalc.serre import (
     DepthError,
     HeckeCharacter,
+    InvariantError,
     NonOrdinaryError,
     PresentationError,
     SerreWeightLAP,
@@ -29,6 +30,7 @@ from alcalc.serre import (
     ps_parameters,
     serre_canonical,
     serre_eq,
+    special_pairs,
     special_perms,
     tame_type_eq,
 )
@@ -98,6 +100,15 @@ class TestPresentations:
     def test_wall_error(self):
         with pytest.raises(PresentationError, match="wall"):
             lowest_alcove_presentation(Weight.of([(6, 0, 0)]), 7)
+
+    def test_restrictedness_check_is_a_named_error(self, monkeypatch):
+        # the output check must survive python -O, so it is not an assert
+        import alcalc.serre as serre_mod
+
+        lap = SerreWeightLAP(ExtAffine.identity(3, 1), Weight.eta(3, 1), 29)
+        monkeypatch.setattr(serre_mod, "is_p_restricted", lambda lam, p: False)
+        with pytest.raises(InvariantError, match="p-restricted"):
+            presentation_to_weight(lap)
 
     def test_canonical_form(self):
         p = 7
@@ -290,6 +301,56 @@ class TestSpecial:
         x = ExtAffine.translation(Weight.eta(3, 1))
         with pytest.raises(ValueError):
             is_special(x)
+
+    def test_coset_constancy_check_is_a_named_error(self, monkeypatch):
+        import alcalc.serre as serre_mod
+
+        seen = []
+
+        def alternating(w):
+            seen.append(w)
+            return w if len(seen) % 2 else None
+
+        monkeypatch.setattr(serre_mod, "_special_partner", alternating)
+        with pytest.raises(InvariantError, match="S-coset"):
+            enumerate_special(3, 1)
+
+
+def _special_pairs_by_product(n, f):
+    """The brute-force search: every f-tuple of permutations and every
+    embedding j0, case-B pairs normalized; repeats kept."""
+    i0, k0 = 0, n - 1
+    salpha = transposition(n, i0, k0)
+    out = []
+    for perms in itertools.product(all_perms(n), repeat=f):
+        for j0 in range(f):
+            uj = perm_mul(salpha, perms[j0])
+            wd = restricted_lift_perm(perms[j0])
+            ud = restricted_lift_perm(uj)
+            if aff_length(wd) != aff_length(ud) + 1:
+                continue
+            if not up_arrow_leq_aff(ud, wd):
+                continue
+            w = PermTuple.of(perms)
+            u = PermTuple.of([uj if j == j0 else perms[j] for j in range(f)])
+            if classify_case(w, u, j0, i0, k0) == "B":
+                w, u, _ = normalize_to_case_a(w, u, j0, i0, k0)
+            out.append((w.perms, u.perms, j0))
+    return out
+
+
+class TestSpecialPairs:
+    @pytest.mark.parametrize("n, f", [(3, 1), (4, 1), (3, 2), (4, 2), (3, 3)])
+    def test_matches_product_search(self, n, f):
+        pairs = special_pairs(n, f)
+        keys = [(w.perms, u.perms, j0) for w, u, j0 in pairs]
+        assert set(keys) == set(_special_pairs_by_product(n, f))
+        assert len(set(keys)) == len(keys)
+        order = [(j0, w, u) for w, u, j0 in keys]
+        assert order == sorted(order)
+
+    def test_none_for_n2(self):
+        assert special_pairs(2, 1) == []
 
 
 class TestClassifyCase:

@@ -1,12 +1,13 @@
 """Witness pipeline, Frobenius minors, integral chart lifts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from alcalc.pval import PVal
 from alcalc.rmatrix import PMatrix, VPoly, frobenius_minors_f, nabla_certify
-from alcalc.serre import build_setup
+from alcalc.serre import build_setup, special_pairs
 from alcalc.weyl import (
     PermTuple,
     Weight,
@@ -38,7 +39,87 @@ def setup_n3(p=53):
     )
 
 
+def _frobenius_minors_general(charts, s_perms, p):
+    """f_i by the general route: multiply out the conjugated diagonal
+    parts as full matrices, invert by adjugate and take leading minors by
+    Laplace expansion."""
+    f = len(charts)
+    n = charts[0].n
+
+    def matmul(X, Y):
+        return [[sum((X[i][m] * Y[m][k] for m in range(n)), PVal.zero(p)) for k in range(n)] for i in range(n)]
+
+    def det(M):
+        m = len(M)
+        if m == 0:
+            return PVal.one(p)
+        if m == 1:
+            return M[0][0]
+        acc = PVal.zero(p)
+        for k in range(m):
+            term = M[0][k] * det([[M[i][c] for c in range(m) if c != k] for i in range(1, m)])
+            acc = acc + (-term if k % 2 else term)
+        return acc
+
+    prod = [[PVal.one(p) if i == k else PVal.zero(p) for k in range(n)] for i in range(n)]
+    for j in range(f - 1, -1, -1):
+        dbar = charts[j].diag_mod_v()
+        winv = [0] * n
+        for i, wi in enumerate(s_perms[j]):
+            winv[wi] = i
+        prod = matmul(prod, [[dbar[winv[i]] if i == k else PVal.zero(p) for k in range(n)] for i in range(n)])
+    dp = det(prod)
+    if dp.is_zero():
+        raise ZeroDivisionError("singular Frobenius product")
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            m = det([[prod[r][c] for c in range(n) if c != k] for r in range(n) if r != i])
+            inv[k][i] = (-m if (i + k) % 2 else m) / dp
+    values = []
+    for i in range(1, n + 1):
+        minor = det([[inv[r][c] for c in range(i)] for r in range(i)])
+        values.append(PVal.of(p ** (f * i * (2 * n - i - 1) // 2), p) * minor)
+    return values
+
+
+def _random_chart(p, n, rng):
+    """A chart whose diagonal mod v is random (p-adic units, p-multiples,
+    sqrt(p) parts, sometimes zero) with arbitrary higher-degree terms."""
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            const = PVal.of(Fraction(rng.randrange(1, 31) * rng.choice([1, -1, p, -p]), rng.choice([1, 3, p])), p)
+            if rng.random() < 0.2:
+                const = const + PVal.sqrt_p(p, rng.randrange(1, 4))
+            if rng.random() < 0.06:
+                const = PVal.zero(p)
+            row.append(VPoly(p, [const, PVal.of(rng.randrange(-5, 6), p)]))
+        rows.append(row)
+    return PMatrix(p, rows)
+
+
 class TestFrobeniusMinors:
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_matches_general_inverse_and_minors(self, f):
+        rng = random.Random(40 + f)
+        p = 7
+        singular = 0
+        for _ in range(25):
+            n = rng.choice([2, 3, 4])
+            charts = [_random_chart(p, n, rng) for _ in range(f)]
+            perms = [tuple(rng.sample(range(n), n)) for _ in range(f)]
+            try:
+                expect = _frobenius_minors_general(charts, perms, p)
+            except ZeroDivisionError:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    frobenius_minors_f(charts, perms, p)
+                continue
+            assert frobenius_minors_f(charts, perms, p).values == expect
+        assert 0 < singular < 25
+
     def test_identity_input_valuations(self):
         p = 53
         for n in (2, 3, 4):
@@ -80,6 +161,22 @@ class TestWitnessN3:
         # ordinary-compatible character wrt sigma': all units
         assert all(x != 0 for x in res.chi_sigma_prime)
         assert res.free_parameters == 2
+
+    @pytest.mark.parametrize("cause", ["genericity", "solve"])
+    def test_construction_failures_become_witness_errors(self, monkeypatch, cause):
+        # witness_family retries only on WitnessError
+        import alcalc.witness as witness_mod
+        from alcalc.charts import GenericityError
+        from alcalc.mpoly import SolveError
+
+        exc = GenericityError("forced") if cause == "genericity" else SolveError("forced")
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(witness_mod, "_witness_at_field", fail)
+        with pytest.raises(WitnessError, match="forced"):
+            witness_triple_intersection(setup_n3(), t=2)
 
     def test_family_distinct_fixed_t(self):
         sd = setup_n3()
@@ -189,11 +286,11 @@ class TestExtremalOrdinarity:
 
 class TestWitnessSweep:
     def test_all_special_pairs_n3_n4_two_primes(self):
-        from alcalc.cli import _deep_omega, _special_pairs
+        from alcalc.cli import _deep_omega
 
         for n in (3, 4):
             for p in (53, 101):
-                for idx, (w, u, j0) in enumerate(_special_pairs(n, 1)):
+                for idx, (w, u, j0) in enumerate(special_pairs(n, 1)):
                     sd = build_setup(restricted_lift(w), restricted_lift(u), _deep_omega(n, 1, p), p)
                     res = witness_triple_intersection(sd, t=2 + idx)
                     for name, val in res.checks.items():
@@ -204,10 +301,10 @@ class TestWitnessSweep:
         # the machinery extends past the spec's desk scale: both branches
         # at rank five, including pairs where the simple-support recipe is
         # non-generic and the linear Z-solve construction takes over
-        from alcalc.cli import _deep_omega, _special_pairs
+        from alcalc.cli import _deep_omega
 
         p = 101
-        pairs = _special_pairs(5, 1)
+        pairs = special_pairs(5, 1)
         picked = [pairs[0], pairs[1], pairs[3], pairs[12]]
         for (w, u, j0) in picked:
             sd = build_setup(restricted_lift(w), restricted_lift(u), _deep_omega(5, 1, p), p)
@@ -218,10 +315,10 @@ class TestWitnessSweep:
             assert res.f_sigma.is_supersingular() and res.f_sigma.f_n_is_unit()
 
     def test_f2_sweep_n3(self):
-        from alcalc.cli import _deep_omega, _special_pairs
+        from alcalc.cli import _deep_omega
 
         p = 53
-        for (w, u, j0) in _special_pairs(3, 2):
+        for (w, u, j0) in special_pairs(3, 2):
             sd = build_setup(restricted_lift(w), restricted_lift(u), _deep_omega(3, 2, p), p)
             res = witness_triple_intersection(sd, t=2)
             for name, val in res.checks.items():
