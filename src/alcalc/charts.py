@@ -182,6 +182,10 @@ class GenericityError(ValueError):
     pass
 
 
+class ChartInvariantError(ArithmeticError):
+    """An internal chart identity failed; this is a bug, not bad input."""
+
+
 def _pair_a(a_vec, w, beta) -> int:
     """<a, w^{-1}(beta)^vee> for the stored integer vector a."""
     winv = perm_inv(w)
@@ -264,7 +268,8 @@ def z_minus_alpha(shape: ChartShape, w, c_values: dict, F: GF):
     Z = z_minus_alpha_poly(shape, w, K)
     assign = {vvar(b, shape.degree_bound(b)): FElem(F, c_values[b]) for b in negative_roots(shape.n)}
     out = Z.substitute(assign)
-    assert out.is_constant()
+    if not out.is_constant():
+        raise ChartInvariantError("Z_{-alpha} is not constant after substituting every top coefficient")
     return out.constant_value().a
 
 

@@ -23,6 +23,11 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
+class PivotRuleError(ArithmeticError):
+    """The Iwahori decomposition needed an illegal row or column
+    operation; this is a bug, not bad input."""
+
+
 def default_precision(n: int, max_deg: int) -> int:
     return 4 * n * (1 + max_deg)
 
@@ -198,7 +203,7 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
                 continue
             f = e.shift(-m)  # e / v^m = e / pivot
             if i > r and (not f.is_zero()) and f.val < 1:
-                raise AssertionError("pivot rule violated: illegal row operation required")
+                raise PivotRuleError("pivot rule violated: illegal row operation required")
             W.rows[i] = [W.rows[i][k].sub(f.mul(W.rows[r][k])) for k in range(n)]
         # clear the rest of row r with legal column operations
         for k in list(cols_left):
@@ -209,7 +214,7 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
                 continue
             f = e.shift(-m)
             if k < c and (not f.is_zero()) and f.val < 1:
-                raise AssertionError("pivot rule violated: illegal column operation required")
+                raise PivotRuleError("pivot rule violated: illegal column operation required")
             for i in range(n):
                 W.rows[i][k] = W.rows[i][k].sub(f.mul(W.rows[i][c]))
         nu[r] = m

@@ -106,7 +106,8 @@ class Poly:
 
     def as_affine(self):
         """(constant, {var: coeff}) for an affine polynomial."""
-        assert self.is_affine()
+        if not self.is_affine():
+            raise NotAffineError(f"polynomial of total degree {self.total_degree()} is not affine")
         const = self.constant_value()
         lin = {m[0][0]: c for m, c in self.terms.items() if m}
         return const, lin
@@ -185,6 +186,10 @@ class Poly:
 
 class SolveError(ValueError):
     pass
+
+
+class NotAffineError(ArithmeticError):
+    """An affine polynomial was expected; this is a bug, not bad input."""
 
 
 def solve_equations(K: FieldAdapter, equations: list[Poly], unknowns: set, nonzerodivisor=None):

@@ -50,7 +50,7 @@ from .weyl import (
     simple_roots,
     star,
     transposition,
-    up_arrow_leq_aff,
+    up_arrow_step_aff,
 )
 
 
@@ -402,19 +402,28 @@ def normalize_to_case_a(w: PermTuple, u: PermTuple, j0: int, i0: int, k0: int):
     delta = PermTuple.of([gk if j == j0 else perm_identity(n) for j in range(w.f)])
     w2, u2 = w.mul(delta), u.mul(delta)
     if classify_case(w2, u2, j0, i0, k0) != "A":
-        raise AssertionError("normalization did not reach case (a)")
+        raise InvariantError("normalization did not reach case (a)")
     return w2, u2, delta
 
 
 def _special_partner(w: tuple[int, ...]):
     """The one-embedding specialness test: u = s_alpha w for
     alpha = alpha_{0,n-1} (the only root avoiding every proper standard
-    Levi) when l(w^d) = l(u^d) + 1 and u^d up-arrow w^d; else None."""
+    Levi) when l(w^d) = l(u^d) + 1 and u^d up-arrow w^d; else None.
+
+    The up-arrow relation is decided by one covering move,
+    weyl.up_arrow_step_aff: w^d = s_{beta,m} u^d as alcoves with u^d below
+    the wall H_{beta,m} (Jantzen, II.6).  Such a move is an up-arrow chain
+    of length 1, so every pair it accepts the bounded search
+    weyl.up_arrow_leq_aff accepts too.  The two agree on all 3, 8 and 50
+    length-difference-one candidates at n = 3, 4, 5 (3, 8 and 30 of them
+    special); beyond n = 5 the counts (n-2)! of (n-1)! classes and the
+    independent w^{-1}-endpoint criterion are checked at n = 6, 7."""
     n = len(w)
     u = perm_mul(transposition(n, 0, n - 1), w)
     wd = restricted_lift_perm(w)
     ud = restricted_lift_perm(u)
-    if aff_length(wd) == aff_length(ud) + 1 and up_arrow_leq_aff(ud, wd):
+    if aff_length(wd) == aff_length(ud) + 1 and up_arrow_step_aff(ud, wd):
         return u
     return None
 
@@ -636,11 +645,11 @@ def build_setup(w_diamond: ExtAffine, u_diamond: ExtAffine, omega: Weight, p: in
         shift = tuple(e + a - b for e, a, b in zip(eta, nus_u[j], nus_w[j]))
         expect = ((perm_act_vec(winv, shift)), perm_mul(winv, u.perms[j]))
         if wt.component(j) != expect:
-            raise AssertionError(f"w~(rhobar,tau) deviates from w^-1 t_(eta+nu_u-nu_w) u at embedding {j}")
+            raise InvariantError(f"w~(rhobar,tau) deviates from w^-1 t_(eta+nu_u-nu_w) u at embedding {j}")
     for j in range(f):
         expect = (perm_act_vec(perm_inv(u.perms[j]), eta), perm_identity(n))
         if wt_prime.component(j) != expect:
-            raise AssertionError(f"w~(rhobar',tau') deviates from t_(u^-1 eta) at embedding {j}")
+            raise InvariantError(f"w~(rhobar',tau') deviates from t_(u^-1 eta) at embedding {j}")
 
     ztilde = star(wt)
     ztilde_prime = star(wt_prime)
@@ -708,9 +717,9 @@ def gl2_f2_jh(lam: Weight, p: int):
     consts = out["socle"] + [out["cosocle"]]
     for c in consts:
         if not is_p_restricted(c, p):
-            raise AssertionError("constituent not p-restricted after normalization")
+            raise InvariantError("constituent not p-restricted after normalization")
     if any(serre_eq(out["sigma"], c, p) for c in consts):
-        raise AssertionError("sigma unexpectedly appears among the C_1 constituents")
+        raise InvariantError("sigma unexpectedly appears among the C_1 constituents")
     return out
 
 

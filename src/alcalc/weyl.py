@@ -23,6 +23,7 @@ on the base alcove, and length is the sum of |m| over positive roots.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -269,7 +270,11 @@ def affine_simple_reflections(n: int) -> list[Aff]:
 
 class _WordTable:
     """BFS table from the identity of W_a over the affine simple
-    reflections, grown on demand; stores one reduced word per element."""
+    reflections, grown on demand; stores one reduced word per element.
+
+    Growth runs under a lock, and `radius` is bumped only after a layer is
+    complete, so a reader that sees radius >= l finds every element of
+    length <= l without taking the lock."""
 
     def __init__(self, n: int):
         self.n = n
@@ -277,21 +282,25 @@ class _WordTable:
         self.words: dict[Aff, tuple[int, ...]] = {aff_identity(n): ()}
         self.frontier: list[Aff] = [aff_identity(n)]
         self.radius = 0
+        self._lock = threading.Lock()
 
     def grow_to(self, radius: int) -> None:
-        while self.radius < radius:
-            nxt = []
-            for x in self.frontier:
-                wx = self.words[x]
-                for gi, g in enumerate(self.gens):
-                    y = aff_mul(x, g)
-                    if y not in self.words:
-                        self.words[y] = wx + (gi,)
-                        nxt.append(y)
-            self.frontier = nxt
-            self.radius += 1
-            if not nxt:
-                break
+        if self.radius >= radius:
+            return
+        with self._lock:
+            while self.radius < radius:
+                nxt = []
+                for x in self.frontier:
+                    wx = self.words[x]
+                    for gi, g in enumerate(self.gens):
+                        y = aff_mul(x, g)
+                        if y not in self.words:
+                            self.words[y] = wx + (gi,)
+                            nxt.append(y)
+                self.frontier = nxt
+                self.radius += 1
+                if not nxt:
+                    break
 
     def word(self, x: Aff) -> tuple[int, ...]:
         l = aff_length(x)
@@ -394,6 +403,30 @@ def _reflect_up(x: Aff, root: tuple[int, int], m: int) -> Aff:
     i, k = root
     refl = (tuple(m if t == i else (-m if t == k else 0) for t in range(n)), transposition(n, i, k))
     return aff_mul(refl, x)
+
+
+def up_arrow_step_aff(a: Aff, b: Aff) -> bool:
+    """b = s_{beta,m} a as alcoves for one affine reflection, with a on the
+    side <x,beta^vee> < m of the wall H_{beta,m}: one covering move of
+    the up-arrow order (Jantzen, Representations of Algebraic Groups,
+    II.6), in closed form.
+
+    The reflection sends the alcove with m-value m_a at beta to the one
+    with 2m - m_a - 1, so the only candidate wall per positive root beta
+    is m = (m_a + m_b + 1)/2, and it exists only when m_b > m_a and
+    m_a + m_b is odd: at most n(n-1)/2 candidates, no search.
+
+    Sound for up_arrow_leq_aff: a single move is an up-arrow chain of
+    length 1, and that search tests the target key before its box bound,
+    so True here implies True there.  The converse is not proved; it
+    holds on every length-difference-one pair u^d, w^d with
+    u = s_{alpha_{0,n-1}} w at n = 3, 4, 5 (tests/test_serre.py)."""
+    n = len(a[0])
+    pa, pb = aff_profile_key(a), aff_profile_key(b)
+    for r, ma, mb in zip(positive_roots(n), pa, pb):
+        if mb > ma and (ma + mb) % 2 and aff_profile_key(_reflect_up(a, r, (ma + mb + 1) // 2)) == pb:
+            return True
+    return False
 
 
 def up_arrow_leq_aff(a: Aff, b: Aff, slack: int = 2) -> bool:

@@ -32,6 +32,26 @@ class TestExitCodes:
     def test_unknown_subcommand_is_one(self, capsys):
         assert run(["verify", "frobnicate"]) == 1
 
+    def test_failed_invariant_is_one_with_message(self, monkeypatch, capsys):
+        # a broken internal identity is reported like bad input: exit 1 and
+        # one error line, no traceback
+        import alcalc.serre as serre_mod
+        from alcalc.weyl import ExtAffine
+
+        real = serre_mod.wtilde_pair
+
+        def identity_pair(rho, tau):
+            x = real(rho, tau)
+            return ExtAffine.identity(x.n, x.f)
+
+        monkeypatch.setattr(serre_mod, "wtilde_pair", identity_pair)
+        code = run(["setup", "build", "--n", "3", "--f", "1", "--pair", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: w~(rhobar,tau) deviates")
+        assert "Traceback" not in captured.err
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys):

@@ -51,6 +51,7 @@ from alcalc.weyl import (
     restricted_lift_perm,
     transposition,
     up_arrow_leq_aff,
+    up_arrow_step_aff,
 )
 
 
@@ -251,7 +252,7 @@ class TestSpecial:
         assert count == 0
 
     def test_counts_f1(self):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6, 7):
             count, total, frac = enumerate_special(n, 1)
             assert count == math.factorial(n - 2)
             assert total == math.factorial(n - 1)
@@ -265,11 +266,13 @@ class TestSpecial:
         for n, f in itertools.product((3, 4), (1, 2, 3)):
             count, total, frac = enumerate_special(n, f)
             assert frac == 1 - Fraction(n - 2, n - 1) ** f
+        assert enumerate_special(5, 2)[2] == Fraction(7, 16)
+        assert enumerate_special(6, 2)[2] == Fraction(9, 25)
 
     def test_closed_criterion_f1(self):
         # ground truth matches: w^{-1} maps the endpoints to adjacent
         # values in order, or w^{-1} interchanges them
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6, 7):
             truth = set(special_perms(n))
             crit = set()
             for w in all_perms(n):
@@ -277,6 +280,23 @@ class TestSpecial:
                 if wi[0] + 1 == wi[n - 1] or (wi[0] == n - 1 and wi[n - 1] == 0):
                     crit.add(w)
             assert truth == crit
+
+    def test_one_reflection_matches_search(self):
+        # the closed-form covering move against the bounded up-arrow search
+        # on every length-difference-one candidate: (candidates, special)
+        expected = {3: (3, 3), 4: (8, 8), 5: (50, 30)}
+        for n, counts in expected.items():
+            salpha = transposition(n, 0, n - 1)
+            verdicts = []
+            for w in all_perms(n):
+                wd = restricted_lift_perm(w)
+                ud = restricted_lift_perm(perm_mul(salpha, w))
+                if aff_length(wd) != aff_length(ud) + 1:
+                    continue
+                step = up_arrow_step_aff(ud, wd)
+                assert step == up_arrow_leq_aff(ud, wd), w
+                verdicts.append(step)
+            assert (len(verdicts), sum(verdicts)) == counts
 
     def test_s_coset_invariance(self):
         from alcalc.weyl import ncycle

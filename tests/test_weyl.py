@@ -50,6 +50,7 @@ from alcalc.weyl import (
     star,
     up_arrow_leq,
     up_arrow_leq_aff,
+    up_arrow_step_aff,
 )
 
 
@@ -273,6 +274,15 @@ class TestUpArrow:
         assert up_arrow_leq_aff(u, w)
         assert not up_arrow_leq_aff(w, u)
 
+    def test_one_step_is_strict_and_directed(self):
+        u = restricted_lift_perm((2, 0, 1))
+        w = restricted_lift_perm((0, 2, 1))
+        assert up_arrow_step_aff(u, w)
+        assert not up_arrow_step_aff(w, u)
+        assert not up_arrow_step_aff(u, u)
+        # e below t_eta needs more than one reflection
+        assert not up_arrow_step_aff(aff_identity(3), aff_translation(eta_weight(3)))
+
     def test_base_alcove_below_translates(self):
         e = aff_identity(3)
         t = aff_translation(eta_weight(3))
@@ -398,3 +408,50 @@ def test_admissible_contains_matches_enumeration():
     for _ in range(80):
         x = rand_ext(rng, 3, 1)
         assert admissible_contains(lam, x) == ((x.nu.rows, x.w.perms) in adm_set)
+
+
+def test_reduced_word_thread_safe():
+    # four threads grow one cold word table at once; a frequent switch
+    # interval interleaves them inside a BFS layer
+    import sys
+    import threading
+
+    from alcalc.weyl import _word_table, affine_simple_reflections
+
+    rng = random.Random(12)
+    gens = affine_simple_reflections(4)
+    elems = []
+    for _ in range(200):
+        x = aff_identity(4)
+        for _ in range(rng.randrange(4, 12)):
+            x = aff_mul(x, rng.choice(gens))
+        elems.append(x)
+    errors = []
+
+    def work(order):
+        try:
+            for x in order:
+                word = reduced_word(x)
+                y = aff_identity(4)
+                for gi in word:
+                    y = aff_mul(y, gens[gi])
+                assert y == x and len(word) == aff_length(x)
+        except Exception as exc:  # collected and reported by the main thread
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            _word_table.cache_clear()
+            orders = [random.Random(trial * 4 + t).sample(elems, len(elems)) for t in range(4)]
+            threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+        _word_table.cache_clear()
+    assert errors == []
