@@ -13,7 +13,7 @@ a_beta are the mod-v entries of the lower-unipotent chart matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .chartsolve import CVAR, ChartShape, gf_chart_system, vvar
@@ -148,30 +148,20 @@ def minor_identities(a_values: dict, i: int, i0: int, k0: int, F: GF):
             return av[(k0, i0)]
         return det_int_matrix(minor_matrix(av, ii, i0, k0), F)
 
-    def xform(ii):
-        # det(M'_{ii}) for the trailing unipotent-ish block: X_{alpha_{k0, k0-ii}}
-        b = (k0, k0 - ii)
+    def chain_sum(top, bottom, length):
+        # sum over the chains from bottom up to top of (-1)^(length - s)
+        # times the product of their a-values, s the number of legs
         acc = 0
-        for ch in _chains(*b):
+        for ch in _chains(top, bottom):
             term = 1
             for bb in ch:
                 term = F.mul(term, av[bb])
-            s = len(ch)
-            sgn = (ii - s) % 2  # (-1)^(ii - s): chains of b have max length ii
-            acc = F.add(acc, term if sgn == 0 else F.neg(term))
+            acc = F.add(acc, term if (length - len(ch)) % 2 == 0 else F.neg(term))
         return acc
 
-    rec = F.sub(F.mul(av[(k0 - i + 1, i0)], xform(i - 1)), direct(i - 1))
-    path = None
-    if i == k0 - i0:
-        acc = 0
-        for ch in _chains(k0, i0):
-            term = 1
-            for bb in ch:
-                term = F.mul(term, av[bb])
-            s = len(ch)
-            acc = F.add(acc, term if (k0 - i0 - s) % 2 == 0 else F.neg(term))
-        path = acc
+    # det(M'_{i-1}) for the trailing block is the chain sum of alpha_{k0, k0-i+1}
+    rec = F.sub(F.mul(av[(k0 - i + 1, i0)], chain_sum(k0, k0 - i + 1, i - 1)), direct(i - 1))
+    path = chain_sum(k0, i0, k0 - i0) if i == k0 - i0 else None
     return direct(i), rec, path
 
 
@@ -266,8 +256,7 @@ def z_minus_alpha(shape: ChartShape, w, c_values: dict, F: GF):
     values keyed by negative root)."""
     K = GFAdapter(F)
     Z = z_minus_alpha_poly(shape, w, K)
-    assign = {vvar(b, shape.degree_bound(b)): FElem(F, c_values[b]) for b in negative_roots(shape.n)}
-    out = Z.substitute(assign)
+    out = Z.substitute(shape.tops(c_values, lambda v: FElem(F, v)))
     if not out.is_constant():
         raise ChartInvariantError("Z_{-alpha} is not constant after substituting every top coefficient")
     return out.constant_value().a
@@ -334,30 +323,14 @@ def partition_lemma_check_diamonds(u_diamond, w_diamond, j0: int = 0) -> bool:
 @dataclass
 class ChartPoint:
     """A point of the c = 0 chart component: top coefficients c_beta,
-    solved constant terms a_beta, the distinguished scalars, degree data
-    and the monodromy parameter."""
+    solved constant terms a_beta, the degree data kappa_beta, and the full
+    special-fiber solution of the chart's monodromy system."""
 
     shape: ChartShape
     c_values: dict  # negative root -> int-encoded field value (top coefficients)
-    a_values: dict = dc_field(default_factory=dict)  # solved mod-v entries
-    c_scalar: object = None  # the colength coordinate c (0 on this component)
-    z_value: object = None
-    kappa: dict = dc_field(default_factory=dict)
-    m_data: dict = dc_field(default_factory=dict)
-
-    def populate_derived(self):
-        u = self.shape.u_perm
-        w = self.shape.conj_perm
-        for beta in negative_roots(self.shape.n):
-            degv = self.shape.degree_bound(beta)
-            kappa, sigma = kappa_sigma(u, w, beta)
-            self.kappa[beta] = kappa
-            self.m_data[beta] = {
-                "m": degv - self.shape.window_bottom(beta),
-                "m_prime": degv - kappa,
-                "sigma": sigma,
-            }
-        return self
+    a_values: dict  # negative root -> solved mod-v entry
+    kappa: dict
+    solution: dict
 
     def to_json(self):
         return {
@@ -376,21 +349,21 @@ def build_vc_matrix(shape: ChartShape, c_values: dict, F: GF, prec: int):
     the given top coefficients and return (LoopMatrix, ChartPoint).  The
     caller is expected to re-verify with nabla_check / the Bruhat
     decomposition; degree-bound violations in the input are rejected."""
-    for b, v in c_values.items():
-        if b not in set(negative_roots(shape.n)):
+    roots = negative_roots(shape.n)
+    for b in c_values:
+        if b not in roots:
             raise DegreeBoundError(f"{b} is not a negative root")
     sysF = gf_chart_system(shape, F)
-    assign = {vvar(b, shape.degree_bound(b)): FElem(F, c_values[b]) for b in negative_roots(shape.n)}
+    assign = shape.tops(c_values, lambda v: FElem(F, v))
     if shape.kind == "colength_one":
         assign[CVAR] = FElem(F, 0)
     full = sysF.solve(assign)
     A = sysF.numeric_A_gf(full, F, prec)
-    point = ChartPoint(shape, dict(c_values)).populate_derived()
-    for beta in negative_roots(shape.n):
-        bot = shape.window_bottom(beta)
-        val = full.get(vvar(beta, bot))
+    a_values = {}
+    for beta in roots:
         # entries whose stored polynomial starts above degree 0 have a_beta
         # equal to the bottom-window coefficient of the unconjugated entry
-        point.a_values[beta] = val.a if val is not None else None
-    point.c_scalar = 0
-    return A, point
+        val = full.get(vvar(beta, shape.window_bottom(beta)))
+        a_values[beta] = val.a if val is not None else None
+    kappa = {beta: kappa_sigma(shape.u_perm, shape.conj_perm, beta)[0] for beta in roots}
+    return A, ChartPoint(shape, dict(c_values), a_values, kappa, full)

@@ -27,6 +27,7 @@ checkers before it is used.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .gf import GF
@@ -108,12 +109,20 @@ class ChartShape:
     u_perm: tuple[int, ...]  # permutation governing the degree bounds
     conj_perm: tuple[int, ...]  # conjugation between A and the normal form
     a_vec: tuple[int, ...]  # integer monodromy parameter
-    i0: int = 0
-    k0: int = -1  # filled in __post_init__ when negative
 
-    def __post_init__(self):
-        if self.k0 < 0:
-            object.__setattr__(self, "k0", self.n - 1)
+    @property
+    def i0(self) -> int:
+        """The distinguished root is alpha = alpha_{i0 k0} = alpha_{0 (n-1)}."""
+        return 0
+
+    @property
+    def k0(self) -> int:
+        return self.n - 1
+
+    def tops(self, values: dict, lift) -> dict:
+        """The top-coefficient assignment {V_beta's top variable:
+        lift(values[beta])} over every negative root beta."""
+        return {vvar(b, self.degree_bound(b)): lift(values[b]) for b in negative_roots(self.n)}
 
     def degree_bound(self, beta: tuple[int, int]) -> int:
         """deg V_beta <= -<eta, beta> - [u^{-1}(beta) > 0] for beta in Phi^-."""
@@ -172,25 +181,6 @@ class ChartSystem:
         if shape.kind == "colength_one":
             self.vars.append(CVAR)
         self._equations: list[Poly] | None = None
-
-    def with_shape(self, shape: ChartShape) -> "ChartSystem":
-        """Reuse the cached symbolic assembly for a shape differing only in
-        the monodromy parameter (which enters symbolically)."""
-        if (shape.n, shape.p, shape.kind, shape.u_perm, shape.conj_perm, shape.i0, shape.k0) != (
-            self.shape.n,
-            self.shape.p,
-            self.shape.kind,
-            self.shape.u_perm,
-            self.shape.conj_perm,
-            self.shape.i0,
-            self.shape.k0,
-        ):
-            raise ValueError("incompatible shape for cached system")
-        import copy
-
-        clone = copy.copy(self)
-        clone.shape = shape
-        return clone
 
     # -- assembly ---------------------------------------------------------
     def _vpp_pow_eta(self, exps) -> list[list[VPolyP]]:
@@ -291,9 +281,8 @@ class ChartSystem:
         for i, ai in enumerate(self.shape.a_vec):
             assignments[avar(i)] = self.K.from_int(ai)
         eqs = [e.substitute(assignments) for e in self.equations()]
-        unknowns = {v for v in self.vars if v not in assignments}
         nzd = CVAR if (self.shape.kind == "colength_one" and CVAR not in assignments) else None
-        solved = solve_equations(self.K, eqs, unknowns, nonzerodivisor=nzd)
+        solved = solve_equations(self.K, eqs, nonzerodivisor=nzd)
         full = dict(assignments)
         full.update(solved)
         missing = [v for v in self.vars if v not in full]
@@ -302,73 +291,54 @@ class ChartSystem:
         return full
 
     # -- numeric realizations ----------------------------------------------------
-    def _numeric_B(self, full: dict) -> list[list[list]]:
+    def _realize(self, full: dict, entry) -> list[list]:
+        """Rows of A = conj^{-1} B conj at a full solution; `entry` makes
+        each matrix entry from its list of v-coefficients."""
         B, _ = self.assemble()
-        out = []
-        for row in B:
-            orow = []
-            for ent in row:
+        conj = self.shape.conj_perm
+        rows = []
+        for i in range(self.shape.n):
+            row = []
+            for k in range(self.shape.n):
                 vals = []
-                for c in ent:
+                for c in B[conj[i]][conj[k]]:
                     cc = c.substitute(full)
                     if not cc.is_constant():
                         raise SolveError(f"entry not numeric after substitution: {cc!r}")
                     vals.append(cc.constant_value())
-                orow.append(vals)
-            out.append(orow)
-        return out
+                row.append(entry(vals))
+            rows.append(row)
+        return rows
 
     def numeric_A_gf(self, full: dict, F: GF, prec: int) -> LoopMatrix:
-        Bnum = self._numeric_B(full)
-        n = self.shape.n
-        conj = self.shape.conj_perm
-        rows = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                ent = Bnum[conj[i]][conj[k]]
-                row.append(Series.from_coeffs(F, {d: c.a for d, c in enumerate(ent)}, prec))
-            rows.append(row)
-        return LoopMatrix(F, rows)
+        return LoopMatrix(F, self._realize(full, lambda ent: Series.from_coeffs(F, {d: c.a for d, c in enumerate(ent)}, prec)))
 
     def numeric_A_pval(self, full: dict) -> PMatrix:
-        Bnum = self._numeric_B(full)
-        n = self.shape.n
-        conj = self.shape.conj_perm
-        rows = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                ent = Bnum[conj[i]][conj[k]]
-                row.append(VPoly(self.shape.p, [c for c in ent]))
-            rows.append(row)
-        return PMatrix(self.shape.p, rows)
+        p = self.shape.p
+        return PMatrix(p, self._realize(full, lambda ent: VPoly(p, ent)))
 
 
 _SYSTEM_CACHE: dict = {}
 
 
-def _cache_key(shape: ChartShape, mode: str, q: int | None):
-    return (mode, q, shape.n, shape.p, shape.kind, shape.u_perm, shape.conj_perm, shape.i0, shape.k0)
+def _cached_system(shape: ChartShape, K: FieldAdapter, q: int | None) -> ChartSystem:
+    """The symbolic system of `shape` over K (q = the field size, or None
+    for the p-valuation scalars), assembled once per static chart shape;
+    the monodromy parameter enters symbolically, so a cached system is
+    shared by every a_vec through a shallow copy carrying `shape`."""
+    key = (q, shape.n, shape.p, shape.kind, shape.u_perm, shape.conj_perm)
+    sys = _SYSTEM_CACHE.get(key)
+    if sys is None:
+        sys = _SYSTEM_CACHE[key] = ChartSystem(shape, K)
+        return sys
+    clone = copy.copy(sys)
+    clone.shape = shape
+    return clone
 
 
 def gf_chart_system(shape: ChartShape, F: GF) -> ChartSystem:
-    key = _cache_key(shape, "gf", F.q)
-    sys = _SYSTEM_CACHE.get(key)
-    if sys is None:
-        sys = ChartSystem(shape, GFAdapter(F))
-        _SYSTEM_CACHE[key] = sys
-    else:
-        sys = sys.with_shape(shape)
-    return sys
+    return _cached_system(shape, GFAdapter(F), F.q)
 
 
 def pval_chart_system(shape: ChartShape) -> ChartSystem:
-    key = _cache_key(shape, "pval", None)
-    sys = _SYSTEM_CACHE.get(key)
-    if sys is None:
-        sys = ChartSystem(shape, PValAdapter(shape.p))
-        _SYSTEM_CACHE[key] = sys
-    else:
-        sys = sys.with_shape(shape)
-    return sys
+    return _cached_system(shape, PValAdapter(shape.p), None)

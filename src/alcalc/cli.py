@@ -21,7 +21,6 @@ import argparse
 import json
 import random
 import sys
-import time
 from fractions import Fraction
 
 from . import charts, serre, weyl, witness
@@ -451,13 +450,11 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = Report(command=f"{args.group} {args.action}", config={k: cfg[k] for k in sorted(cfg) if cfg[k] is not None})
-    t0 = time.time()
     try:
         HANDLERS[key](cfg, report)
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report.timing_ms = 1000.0 * (time.time() - t0)
     payload = emit_report(report, cfg["format"])
     if cfg["out"]:
         with open(cfg["out"], "wb") as fh:

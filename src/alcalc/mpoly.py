@@ -92,9 +92,6 @@ class Poly:
     def constant_value(self):
         return self.terms.get((), self.K.zero())
 
-    def variables(self) -> set:
-        return {v for m in self.terms for v, _ in m}
-
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
@@ -192,7 +189,7 @@ class NotAffineError(ArithmeticError):
     """An affine polynomial was expected; this is a bug, not bad input."""
 
 
-def solve_equations(K: FieldAdapter, equations: list[Poly], unknowns: set, nonzerodivisor=None):
+def solve_equations(K: FieldAdapter, equations: list[Poly], nonzerodivisor=None):
     """Solve a polynomial system that becomes affine-triangular after
     substitution, as the chart monodromy systems do.
 
@@ -200,7 +197,7 @@ def solve_equations(K: FieldAdapter, equations: list[Poly], unknowns: set, nonze
     divide out powers of `nonzerodivisor` (a chart coordinate that is a
     nonzerodivisor on the irreducible chart, e.g. c); gather the affine
     equations and solve the linear subsystem they determine; substitute.
-    Returns {var: value} for every unknown that got determined.  Raises
+    Returns {var: value} for every variable that got determined.  Raises
     SolveError if stuck or inconsistent.
     """
     eqs = [e for e in equations]

@@ -3,8 +3,7 @@ Run reports: a versioned, canonically-serialized record of checks with
 pass/fail flags and minimal counterexamples.
 
 Serialized bytes are a pure function of (schema_version, config, seed):
-wall-clock timing is carried on the in-memory object for display but is
-excluded from the emitted bytes.
+a report carries no wall-clock timing.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ class Report:
     command: str
     config: dict
     checks: list[Check] = field(default_factory=list)
-    timing_ms: float | None = None
-
     schema_version: str = SCHEMA_VERSION
 
     def add(self, name: str, passed: bool, detail: dict | None = None, counterexample: dict | None = None) -> None:
@@ -60,8 +57,7 @@ class Report:
 
 
 def emit_report(report: Report, format: str = "json") -> bytes:
-    """Byte-stable serialization (timing excluded).  Formats: "json" or
-    "csv-summary"."""
+    """Byte-stable serialization.  Formats: "json" or "csv-summary"."""
     if format == "json":
         text = json.dumps(report.to_json(), sort_keys=True, indent=1)
         return (text + "\n").encode("utf-8")

@@ -163,10 +163,6 @@ class PMatrix:
         return [[{str(d): repr(e.coeff(d)) for d in range(e.degree() + 1)} for e in row] for row in self.rows]
 
 
-class IntegralityError(ArithmeticError):
-    pass
-
-
 def nabla_certify(A: PMatrix, a: tuple[int, ...], det_vp_order: int) -> dict:
     """Exact check of the integral monodromy condition
     E = (v+p)(v dA/dv A^{-1} + A a A^{-1}) in Lie(O[[v+p]]), upper

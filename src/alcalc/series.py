@@ -214,9 +214,6 @@ class Series:
             out[d] = mul(neg(acc), inv0)
         return Series(F, -v, out, self.prec - 2 * v)
 
-    def divide(self, other: "Series") -> "Series":
-        return self.mul(other.inverse())
-
     def derivative(self) -> "Series":
         F = self.F
         out: dict[int, int] = {}

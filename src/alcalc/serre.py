@@ -34,7 +34,6 @@ from .weyl import (
     eta_weight,
     inverse,
     is_restricted,
-    length,
     ncycle,
     nu_w,
     pairing,
@@ -207,16 +206,9 @@ def depth_genericity(obj, m: int) -> bool:
     """sigma m-deep (for a SerreWeightLAP: m < <omega, alpha> < p - m) or
     tau m-generic (for a TameTypePresentation: m < <mu+eta, alpha> < p - m),
     over all embeddings and positive roots, strictly."""
-    if isinstance(obj, SerreWeightLAP):
-        vals = [obj.omega.pairing(j, a) for j in range(obj.f) for a in positive_roots(obj.n)]
-        p = obj.p
-    elif isinstance(obj, TameTypePresentation):
-        mu_eta = obj.mu.add(Weight.eta(obj.n, obj.f))
-        vals = [mu_eta.pairing(j, a) for j in range(obj.f) for a in positive_roots(obj.n)]
-        p = obj.p
-    else:
+    if not isinstance(obj, (SerreWeightLAP, TameTypePresentation)):
         raise TypeError("expected a SerreWeightLAP or TameTypePresentation")
-    return all(m < c < p - m for c in vals)
+    return depth_violation(obj, m) is None
 
 
 def depth_violation(obj, m: int):
@@ -258,21 +250,17 @@ def change_presentation(tp: TameTypePresentation, x: ExtAffine) -> TameTypePrese
     return TameTypePresentation(PermTuple.of(s_rows), Weight.of(mu_rows), p)
 
 
-def tame_type_eq(t1: TameTypePresentation, t2: TameTypePresentation, length_bound: int | None = None):
+def tame_type_eq(t1: TameTypePresentation, t2: TameTypePresentation):
     """Decide whether t2 = x . t1 for some twist x, solving the finite
     part embedding-by-embedding and the translation part as an exact
     linear system.  Returns the twist x (an ExtAffine) or None.
 
     Equality is defined by chains of presentation moves of length at most
     l(t_{2 eta}); since such moves generate the full twist group, chains
-    reduce to a single composite move, which is what is solved for (and is
-    unbounded by default).  Pass length_bound to restrict to one bounded
-    move."""
+    reduce to a single composite move, which is what is solved for."""
     if t1.p != t2.p or (t1.n, t1.f) != (t2.n, t2.f):
         return None
     n, f, p = t1.n, t1.f, t1.p
-    if length_bound is None:
-        length_bound = 10**9
     eta = eta_weight(n)
     for w0 in all_perms(n):
         ws = [w0]
@@ -285,9 +273,8 @@ def tame_type_eq(t1: TameTypePresentation, t2: TameTypePresentation, length_boun
                     ok = False
                 break
             ws.append(wn)
-        if not ok or len(ws) != f:
-            if not (ok and f == 1):
-                continue
+        if not ok:
+            continue
         # translation part: p*nu_j - S'_j(nu_{j+1}) = mu'_j + eta - w_j(mu_j + eta)
         rhs = []
         for j in range(f):
@@ -317,7 +304,7 @@ def tame_type_eq(t1: TameTypePresentation, t2: TameTypePresentation, length_boun
             continue
         nu_rows = [tuple(int(sol[j * n + i]) for i in range(n)) for j in range(f)]
         x = ExtAffine(Weight.of(nu_rows), PermTuple.of(ws))
-        if change_presentation(t1, x).to_json() == t2.to_json() and length(x) <= length_bound:
+        if change_presentation(t1, x).to_json() == t2.to_json():
             return x
     return None
 

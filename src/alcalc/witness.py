@@ -8,11 +8,11 @@ Pipeline for a special pair (any number of embeddings; the
 distinguished one carries the colength-one chart, the rest extremal
 charts):
   1. pick a point of the c = 0 component with Z_{-alpha} = 0 at the
-     distinguished embedding (the proof's simple-root support when the
-     -alpha entry has positive degree, else solving the linear Z
-     relation at generic support) and unit trailing minors at the
-     companion embedding;
-  2. solve the special-fiber monodromy systems, re-verify with the
+     distinguished embedding (with f = 1, the proof's simple-root
+     support first when the -alpha entry has positive degree; else
+     solving the linear Z relation at generic support) and unit trailing
+     minors at the companion embedding;
+  2. solve each special-fiber monodromy system once, re-verify with the
      independent checkers (nabla, affine Bruhat decomposition per
      embedding) and certify Schubert membership by the legal row
      reduction;
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import ChartPoint, GenericityError, build_vc_matrix, minor_identities, z_minus_alpha
-from .chartsolve import CVAR, ChartShape, gf_chart_system, pval_chart_system, vvar
+from .chartsolve import CVAR, ChartShape, pval_chart_system, vvar
 from .gf import GF, FElem, field
 from .loopmat import LoopMatrix, affine_bruhat_decompose, default_precision, iwahori_row_reduce, nabla_check
 from .mpoly import SolveError
@@ -179,7 +179,7 @@ def _extremal_normal_form(X: LoopMatrix, u_perm, eta, shape_ext: ChartShape) -> 
                     ones.append(poly - Poly.const(K, K.one()))
     equations.extend(ones)
     try:
-        solved = solve_equations(K, equations, set(unknowns))
+        solved = solve_equations(K, equations)
     except SolveError as exc:
         raise WitnessError(f"point is not in the extremal cell (no windowed factorization): {exc}") from None
     missing = [v for v in unknowns if v not in solved]
@@ -234,22 +234,30 @@ def _torus_twist_pval(A: PMatrix, d0: PVal) -> PMatrix:
 
 def _extremal_tops_from_L(L: LoopMatrix, shape: ChartShape):
     """Read the V' coefficients of the extremal normal form from the
-    unipotent lower factor, checking the chart degree bounds."""
-    F = L.F
-    n = shape.n
-    tops = {}
+    unipotent lower factor, checking the chart degree bounds; returns the
+    integral top assignment and the coefficients per negative root."""
     all_coeffs = {}
-    for beta in negative_roots(n):
+    for beta in negative_roots(shape.n):
         i, k = beta
         ent = L.rows[i][k]
         bnd = shape.degree_bound(beta)
-        coeffs = [ent.coeff(d) for d in range(bnd + 1)]
         for d in range(bnd + 1, min(ent.prec, bnd + 6)):
             if ent.coeff(d) != 0:
                 raise WitnessError(f"extremal transfer violates the degree bound at {beta}")
-        tops[vvar(beta, bnd)] = FElem(F, coeffs[bnd])
-        all_coeffs[beta] = coeffs
-    return tops, all_coeffs
+        all_coeffs[beta] = [ent.coeff(d) for d in range(bnd + 1)]
+    return shape.tops(all_coeffs, lambda coeffs: PVal.of(coeffs[-1], shape.p)), all_coeffs
+
+
+def _integral_chart(shape: ChartShape, tops: dict, where: str) -> tuple[dict, PMatrix]:
+    """Solve the integral chart of `shape` at the given tops, realize it and
+    certify the integral monodromy condition; returns (solution, matrix)."""
+    sysO = pval_chart_system(shape)
+    full = sysO.solve(tops)
+    A = sysO.numeric_A_pval(full)
+    rep = nabla_certify(A, shape.a_vec, det_vp_order=shape.n * (shape.n - 1) // 2)
+    if not rep["ok"]:
+        raise WitnessError(f"integral monodromy certificate failed {where}: {rep}")
+    return full, A
 
 
 def witness_triple_intersection(
@@ -295,14 +303,18 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     ]
     shape0 = shapes[j0]
     w0 = w_perms[j0]
+    roots = negative_roots(n)
+
+    def _units(betas, start: int) -> dict:
+        # chart coordinates start+1, start+2, ... reduced to units mod p
+        return {beta: (start + m) % p or 1 for m, beta in enumerate(betas, 1)}
 
     # -- step 1: the point at the distinguished embedding ----------------------
     def _simple_support(offset: int) -> dict:
         # the proof's recipe on the deg A_{-alpha} > 0 branch: every Z
         # monomial contains a non-simple coordinate, so Z vanishes here
-        base = 2 + offset
-        simples = {(i + 1, i) for i in range(n - 1)}
-        return {beta: (((base := base + 1) % p or 1) if beta in simples else 0) for beta in negative_roots(n)}
+        simples = _units([b for b in roots if b[0] - b[1] == 1], 2 + offset)
+        return {beta: simples.get(beta, 0) for beta in roots}
 
     def _z_solve_support(offset: int) -> dict:
         # Z is affine-linear in c_{-alpha} with a unit coefficient on any
@@ -310,96 +322,65 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
         from .charts import z_minus_alpha_poly
         from .mpoly import GFAdapter
 
-        base = 2 + offset
-        cv = {}
-        for beta in negative_roots(n):
-            if beta != malpha_root:
-                cv[beta] = (base := base + 1) % p or 1
-        K = GFAdapter(F)
-        Z = z_minus_alpha_poly(shape0, w0, K)
+        cv = _units([b for b in roots if b != malpha_root], 2 + offset)
+        Z = z_minus_alpha_poly(shape0, w0, GFAdapter(F))
         Zl = Z.substitute({vvar(b, shape0.degree_bound(b)): FElem(F, cv[b]) for b in cv})
         const, lin = Zl.as_affine()
-        var = vvar(malpha_root, shape0.degree_bound(malpha_root))
-        coeff = lin.get(var)
+        coeff = lin.get(vvar(malpha_root, shape0.degree_bound(malpha_root)))
         if coeff is None or coeff.is_zero():
             raise GenericityError("Z lost its c_(-alpha) coefficient; non-generic monodromy parameter")
         cv[malpha_root] = (-const * coeff.inverse()).a
         return cv
 
+    def _open_checks(pt: ChartPoint) -> tuple[list, bool]:
+        # unit trailing minors and a unit a_{-alpha} at the point
+        a_mod = {b: pt.a_values[b] or 0 for b in roots}
+        minors_unit = [minor_identities(a_mod, i, i0, k0, F)[0] != 0 for i in range(2, k0 - i0 + 1)]
+        return minors_unit, a_mod[malpha_root] != 0
+
     prec = default_precision(n, n + 2)
 
     # open-locus conditions live at embedding j0 + 1 (the same embedding
-    # when f = 1); build that matrix first so the point can be retried
-    j1 = (j0 + 1) % f
-    shape1 = shapes[j1]
-
-    def _open_matrix(offset: int):
-        if f == 1:
-            return None  # same matrix as the distinguished one
-        base = 100 + offset
-        cv1 = {}
-        for beta in negative_roots(n):
-            cv1[beta] = (base := base + 1) % p or 1
-        A1, pt1 = build_vc_matrix(shape1, cv1, F, prec)
-        return cv1, A1, pt1
-
-    def _units_ok(a_mod: dict) -> tuple[list, bool]:
-        minors_unit = []
-        for i in range(2, k0 - i0 + 1):
-            d, _, _ = minor_identities(a_mod, i, i0, k0, F)
-            minors_unit.append(d != 0)
-        return minors_unit, all(minors_unit) and a_mod[malpha_root] != 0
-
-    candidates = [_simple_support(family_index)] if m_alpha > 0 else []
+    # when f = 1, where the simple-root support is tried first)
+    candidates = [_simple_support(family_index)] if m_alpha > 0 and f == 1 else []
     candidates.append(_z_solve_support(family_index))
-
     for c_values in candidates:
         z_val = z_minus_alpha(shape0, w0, c_values, F)
         if z_val != 0:
             raise WitnessError("constructed point does not satisfy Z = 0")
         A_0, point = build_vc_matrix(shape0, c_values, F, prec)
-        if f == 1:
-            a_mod = {b: (point.a_values[b] if point.a_values[b] is not None else 0) for b in negative_roots(n)}
-            minors_unit, ok = _units_ok(a_mod)
-            if ok:
-                open_data = (c_values, A_0, point)
-                break
+        if f > 1:
+            break
+        minors_unit, a_unit = _open_checks(point)
+        if all(minors_unit) and a_unit:
+            break
     else:
-        if f == 1:
-            raise WitnessError("open-locus unit conditions failed at the constructed point(s)")
+        raise WitnessError("open-locus unit conditions failed at the constructed point(s)")
+    j1 = (j0 + 1) % f
+    A_F_list: list[LoopMatrix] = [None] * f
+    A_F_list[j0] = A_0
+    open_point = point
     if f > 1:
         for offset in range(family_index, family_index + 8):
-            cv1, A_1, pt1 = _open_matrix(offset)
-            a_mod = {b: (pt1.a_values[b] if pt1.a_values[b] is not None else 0) for b in negative_roots(n)}
-            minors_unit, ok = _units_ok(a_mod)
-            if ok:
-                open_data = (cv1, A_1, pt1)
+            A_F_list[j1], open_point = build_vc_matrix(shapes[j1], _units(roots, 100 + offset), F, prec)
+            minors_unit, a_unit = _open_checks(open_point)
+            if all(minors_unit) and a_unit:
                 break
         else:
             raise WitnessError("open-locus unit conditions failed at the companion embedding")
     checks["Z_zero"] = z_val == 0
     checks["minors_unit"] = minors_unit
-    checks["a_minus_alpha_unit"] = a_mod[malpha_root] != 0
+    checks["a_minus_alpha_unit"] = a_unit
 
     # remaining embeddings: generic extremal chart points
     cv_by_embedding: list[dict] = [None] * f
-    A_F_list: list[LoopMatrix] = [None] * f
     cv_by_embedding[j0] = c_values
-    A_F_list[j0] = A_0
-    if f > 1:
-        cv_by_embedding[j1] = open_data[0]
-        A_F_list[j1] = open_data[1]
-        base = 300 + family_index
-        for j in range(f):
-            if A_F_list[j] is None:
-                cvj = {}
-                for beta in negative_roots(n):
-                    cvj[beta] = (base := base + 1) % p or 1
-                A_F_list[j], _ = build_vc_matrix(shapes[j], cvj, F, prec)
-                cv_by_embedding[j] = cvj
+    cv_by_embedding[j1] = open_point.c_values
+    for m, j in enumerate(j for j in range(f) if A_F_list[j] is None):
+        cv_by_embedding[j] = _units(roots, 300 + family_index + m * len(roots))
+        A_F_list[j], _ = build_vc_matrix(shapes[j], cv_by_embedding[j], F, prec)
 
     # -- step 2: independent special-fiber verification, all embeddings --------
-    point.z_value = z_val
     nabla_ok = []
     cell_ok = []
     for j in range(f):
@@ -411,36 +392,23 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     checks["nabla"] = all(nabla_ok)
     checks["schubert_cell"] = all(cell_ok)
 
-    assign1 = {vvar(b, shape1.degree_bound(b)): FElem(F, cv_by_embedding[j1][b]) for b in negative_roots(n)}
-    if shape1.kind == "colength_one":
-        assign1[CVAR] = FElem(F, 0)
-    M = _unipotent_from_solution(shape1, gf_chart_system(shape1, F).solve(assign1), F, prec)
+    M = _unipotent_from_solution(open_point.shape, open_point.solution, F, prec)
     bounds = _m_bounds_for_reduce(u_perms[j1])
     iwahori_row_reduce(M, i0, k0, m_bound=bounds)
     checks["schubert_membership"] = True
 
     # -- step 3: integral lifts and f-valuations --------------------------------
     A_O_list: list[PMatrix] = []
-    c_scalar = None
     for j in range(f):
-        sysO = pval_chart_system(shapes[j])
-        topsO = {}
-        for beta in negative_roots(n):
-            bnd = shapes[j].degree_bound(beta)
-            lift = PVal.of(cv_by_embedding[j][beta], p)
-            if j == j0 and beta == malpha_root:
-                lift = lift + PVal.sqrt_p(p)
-            topsO[vvar(beta, bnd)] = lift
-        fullO = sysO.solve(topsO)
-        A_O = sysO.numeric_A_pval(fullO)
-        rep = nabla_certify(A_O, setup.a_tau[j], det_vp_order=n * (n - 1) // 2)
-        if not rep["ok"]:
-            raise WitnessError(f"integral monodromy certificate failed at embedding {j}: {rep}")
+        tops = shapes[j].tops(cv_by_embedding[j], lambda v: PVal.of(v, p))
+        if j == j0:
+            top_malpha = vvar(malpha_root, shape0.degree_bound(malpha_root))
+            tops[top_malpha] = tops[top_malpha] + PVal.sqrt_p(p)
+        fullO, A_O = _integral_chart(shapes[j], tops, f"at embedding {j}")
         A_O_list.append(A_O)
         if j == j0:
             c_scalar = fullO[CVAR]
     checks["nabla_integral"] = True
-    point.c_scalar = c_scalar
     checks["c_zero"] = c_scalar.valuation() > 0
     checks["cZ_equals_p"] = (c_scalar * (PVal.of(p, p) / c_scalar) - PVal.of(p, p)).is_zero()
     # both chart functions vanish at the reduction iff val(c) = val(Z) = 1/2,
@@ -488,12 +456,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
 
         # honest extremal integral lift reducing to the transferred point
         tops_ext, coeffs_ext = _extremal_tops_from_L(L, shape_ext)
-        sysE = pval_chart_system(shape_ext)
-        fullE = sysE.solve({k: PVal.of(v.a, p) for k, v in tops_ext.items()})
-        A_E = sysE.numeric_A_pval(fullE)
-        repE = nabla_certify(A_E, setup.a_tau_prime[j], det_vp_order=n * (n - 1) // 2)
-        if not repE["ok"]:
-            raise WitnessError(f"extremal integral certificate failed at embedding {j}")
+        fullE, A_E = _integral_chart(shape_ext, tops_ext, f"on the extremal chart at embedding {j}")
         for beta in negative_roots(n):
             for d in range(shape_ext.degree_bound(beta) + 1):
                 got = fullE[vvar(beta, d)]
@@ -573,13 +536,8 @@ def extremal_chart_point(n: int, f: int, p: int, y_perms, a_vecs, tops_values, t
     mats = []
     for j in range(f):
         shape = ChartShape(n=n, p=p, kind="extremal", u_perm=tuple(y_perms[j]), conj_perm=tuple(y_perms[j]), a_vec=tuple(a_vecs[j]))
-        sysE = pval_chart_system(shape)
-        tops = {vvar(b, shape.degree_bound(b)): PVal.of(tops_values[j][b], p) for b in negative_roots(n)}
-        full = sysE.solve(tops)
-        A = sysE.numeric_A_pval(full)
-        rep = nabla_certify(A, tuple(a_vecs[j]), det_vp_order=n * (n - 1) // 2)
-        if not rep["ok"]:
-            raise WitnessError(f"extremal chart lift failed the integral monodromy certificate: {rep}")
+        tops = shape.tops(tops_values[j], lambda v: PVal.of(v, p))
+        _, A = _integral_chart(shape, tops, f"on the extremal chart point at embedding {j}")
         if torus is not None:
             tv = [PVal.of(x, p) for x in torus[j]]
             uperm = tuple(y_perms[j])

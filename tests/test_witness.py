@@ -232,6 +232,52 @@ class TestWitnessN3:
             assert ok, f"check {name} failed"
 
 
+def _f2_setup(p=53):
+    return build_setup(
+        restricted_lift(PermTuple.of([(0, 2, 1), (0, 1, 2)])),
+        restricted_lift(PermTuple.of([(2, 0, 1), (0, 1, 2)])),
+        Weight.of([(26, 13, 0)] * 2),
+        p,
+    )
+
+
+def _n4_setup(p=53):
+    return build_setup(
+        restricted_lift(PermTuple.of([(0, 3, 2, 1)])),
+        restricted_lift(PermTuple.of([(3, 0, 2, 1)])),
+        deep_omega(4, p),
+        p,
+    )
+
+
+class TestOneSolvePerChart:
+    @pytest.mark.parametrize("make_setup", [setup_n3, _f2_setup, _n4_setup])
+    def test_special_fiber_solved_once_per_build(self, monkeypatch, make_setup):
+        # every special-fiber chart point is solved by build_vc_matrix and
+        # reused from there, never solved a second time
+        import alcalc.witness as witness_mod
+        from alcalc.chartsolve import ChartSystem
+        from alcalc.mpoly import GFAdapter
+
+        setup = make_setup()
+        counts = {"gf_solves": 0, "builds": 0}
+        solve, build = ChartSystem.solve, witness_mod.build_vc_matrix
+
+        def counting_solve(self, assignments):
+            counts["gf_solves"] += isinstance(self.K, GFAdapter)
+            return solve(self, assignments)
+
+        def counting_build(*args):
+            counts["builds"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(ChartSystem, "solve", counting_solve)
+        monkeypatch.setattr(witness_mod, "build_vc_matrix", counting_build)
+        witness_triple_intersection(setup, t=2)
+        assert counts["builds"] >= setup.f
+        assert counts["gf_solves"] == counts["builds"]
+
+
 class TestWitnessN4:
     def test_m_positive_branch(self):
         p = 53
