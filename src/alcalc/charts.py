@@ -47,9 +47,6 @@ class PathSets:
     P: tuple[tuple[tuple[int, int], ...], ...]
     I: dict
 
-    def to_json(self):
-        return {"beta": self.beta, "D": [list(map(list, d)) for d in self.D], "P": [list(map(list, t)) for t in self.P]}
-
 
 def _chains(k: int, i: int) -> list[tuple[tuple[int, int], ...]]:
     """All increasing index chains from i up to k: 2^(k-i-1) of them."""
@@ -265,7 +262,7 @@ def z_minus_alpha(shape: ChartShape, w, c_values: dict, F: GF):
 # -- partition identities ----------------------------------------------------------
 
 
-def partition_lemma_check(u, w, n: int, i0: int = 0, k0: int | None = None) -> bool:
+def partition_lemma_check(u, w, n: int) -> bool:
     """Both halves of the delta-sum partition identity for a valid pair
     w = s_alpha u of a speciality certificate.
 
@@ -276,8 +273,7 @@ def partition_lemma_check(u, w, n: int, i0: int = 0, k0: int | None = None) -> b
     filter is trivial)."""
     from .weyl import aff_m, restricted_lift_perm, transposition, perm_mul
 
-    if k0 is None:
-        k0 = n - 1
+    i0, k0 = 0, n - 1
     if w != perm_mul(transposition(n, i0, k0), u):
         raise ValueError("configuration invalid: w != s_alpha u")
     ud = restricted_lift_perm(u)
@@ -301,11 +297,11 @@ def partition_lemma_check(u, w, n: int, i0: int = 0, k0: int | None = None) -> b
     return True
 
 
-def partition_lemma_check_diamonds(u_diamond, w_diamond, j0: int = 0) -> bool:
+def partition_lemma_check_diamonds(u_diamond, w_diamond) -> bool:
     """Diamond-level wrapper: validates that both inputs are genuine
     restricted lifts (a corrupted translation part is a precondition
     violation, not a lemma failure) before checking the identity at the
-    distinguished embedding."""
+    distinguished embedding, the first."""
     from .weyl import nu_w as _nu_w
 
     n = w_diamond.n
@@ -314,7 +310,7 @@ def partition_lemma_check_diamonds(u_diamond, w_diamond, j0: int = 0) -> bool:
             nu, perm = x.component(j)
             if nu != _nu_w(perm):
                 raise ValueError(f"precondition violation: {name}^diamond has a corrupted translation part at embedding {j}")
-    return partition_lemma_check(u_diamond.w.perms[j0], w_diamond.w.perms[j0], n)
+    return partition_lemma_check(u_diamond.w.perms[0], w_diamond.w.perms[0], n)
 
 
 # -- chart points and the V(c) matrix ------------------------------------------------

@@ -292,7 +292,7 @@ def cmd_verify_z(cfg, report: Report):
         if bad:
             break
     deg = 4
-    bound = min(1.0, (deg / q)) if cfg["trials"] else 1.0
+    bound = min(1.0, (deg / q))
     report.add(
         "z_monomial_absence_and_restriction",
         bad is None and checked > 0,
@@ -323,7 +323,6 @@ def cmd_verify_partition(cfg, report: Report):
 
 def cmd_verify_nabla(cfg, report: Report):
     rng = random.Random(cfg["seed"])
-    q = 5 if cfg["p"] == 53 else cfg["p"]
     bad = None
     trials = 0
     for _ in range(cfg["trials"]):

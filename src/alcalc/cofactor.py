@@ -1,12 +1,14 @@
 """
-Determinants and adjugates by first-row Laplace expansion with shared
-minors.
+The one exact matrix algebra behind loop matrices and integral chart
+matrices: products, sums, derivatives and row scaling (`Matrix`), and
+determinants and adjugates by first-row Laplace expansion with shared
+minors (`Cofactors`).
 
-Entries may come from any ring whose elements have .add, .mul, .neg and
-.is_zero (truncated series, v-polynomials).  Every minor is stored under
-its (row indices, column indices), so a determinant costs 2^n minors
-instead of n! products and all n^2 adjugate cofactors reuse the same
-sub-minors.
+Entries may come from any ring whose elements have .add, .mul, .neg,
+.scale, .derivative and .is_zero (truncated series, v-polynomials).
+Every minor is stored under its (row indices, column indices), so a
+determinant costs 2^n minors instead of n! products and all n^2
+adjugate cofactors reuse the same sub-minors.
 
 Zero rule: an expansion term with a zero entry is skipped only once the
 running sum exists.  The first term is always formed, so a series that is
@@ -67,3 +69,38 @@ class Cofactors:
                 m = self.minor(drop[i], drop[k])
                 out[k][i] = m.neg() if (i + k) % 2 else m
         return out
+
+
+class Matrix:
+    """Square matrix held as a list of rows; a subclass supplies `rows` and
+    `_like(rows)`, a matrix of its own class over the same base."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def mul(self, other):
+        n = self.n
+        out = []
+        ocols = list(zip(*other.rows))
+        for row in self.rows:
+            orow = []
+            for col in ocols:
+                acc = row[0].mul(col[0])
+                for m in range(1, n):
+                    acc = acc.add(row[m].mul(col[m]))
+                orow.append(acc)
+            out.append(orow)
+        return self._like(out)
+
+    def add(self, other):
+        return self._like([[a.add(b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def derivative(self):
+        return self._like([[e.derivative() for e in row] for row in self.rows])
+
+    def scale_rows(self, factors):
+        """Row i multiplied by the scalar factors[i]."""
+        return self._like([[e.scale(c) for e in row] for row, c in zip(self.rows, factors)])

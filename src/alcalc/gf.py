@@ -1,16 +1,10 @@
 """
 Prime fields F_p with elements encoded as the integers 0..p-1.
-
-For small p the multiplication table is precomputed (flat list indexed
-by a*q+b), which keeps series arithmetic in the hot loops at list-lookup
-cost.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-_TABLE_MAX = 512  # build full q*q mul table below this
 
 
 def is_prime(m: int) -> bool:
@@ -33,11 +27,6 @@ class GF:
             raise ValueError(f"{q} is not prime: only prime fields are supported")
         self.q = q
         self.p = q
-        self._mul_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
-        if q <= _TABLE_MAX:
-            self._mul_table = [(a * b) % q for a in range(q) for b in range(q)]
-            self._inv_table = [0] + [pow(a, -1, q) for a in range(1, q)]
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -53,19 +42,12 @@ class GF:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
         return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF")
-        if self._inv_table is not None:
-            return self._inv_table[a]
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def from_int(self, m: int) -> int:
         """Image of the rational integer m in F_p."""
@@ -106,9 +88,6 @@ class FElem:
 
     def __mul__(self, o: "FElem") -> "FElem":
         return FElem(self.F, self.F.mul(self.a, o.a))
-
-    def __truediv__(self, o: "FElem") -> "FElem":
-        return FElem(self.F, self.F.div(self.a, o.a))
 
     def inverse(self) -> "FElem":
         return FElem(self.F, self.F.inv(self.a))

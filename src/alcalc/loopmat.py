@@ -14,7 +14,7 @@ column operations.
 
 from __future__ import annotations
 
-from .cofactor import Cofactors
+from .cofactor import Cofactors, Matrix
 from .gf import GF
 from .series import Series
 
@@ -32,12 +32,11 @@ def default_precision(n: int, max_deg: int) -> int:
     return 4 * n * (1 + max_deg)
 
 
-class LoopMatrix:
-    __slots__ = ("F", "n", "rows")
+class LoopMatrix(Matrix):
+    __slots__ = ("F", "rows")
 
     def __init__(self, F: GF, rows: list[list[Series]]):
         self.F = F
-        self.n = len(rows)
         self.rows = rows
 
     # -- constructors --------------------------------------------------------
@@ -69,29 +68,8 @@ class LoopMatrix:
     def copy(self) -> "LoopMatrix":
         return LoopMatrix(self.F, [row[:] for row in self.rows])
 
-    # -- basic operations ------------------------------------------------------
-    def mul(self, other: "LoopMatrix") -> "LoopMatrix":
-        n = self.n
-        F = self.F
-        out = []
-        ocols = list(zip(*other.rows))
-        for i in range(n):
-            row = self.rows[i]
-            orow = []
-            for k in range(n):
-                col = ocols[k]
-                acc = row[0].mul(col[0])
-                for m in range(1, n):
-                    acc = acc.add(row[m].mul(col[m]))
-                orow.append(acc)
-            out.append(orow)
-        return LoopMatrix(F, out)
-
-    def add(self, other: "LoopMatrix") -> "LoopMatrix":
-        return LoopMatrix(
-            self.F,
-            [[self.rows[i][k].add(other.rows[i][k]) for k in range(self.n)] for i in range(self.n)],
-        )
+    def _like(self, rows: list[list[Series]]) -> "LoopMatrix":
+        return LoopMatrix(self.F, rows)
 
     def scale(self, s: Series) -> "LoopMatrix":
         return LoopMatrix(self.F, [[e.mul(s) for e in row] for row in self.rows])
@@ -113,9 +91,6 @@ class LoopMatrix:
         if d.is_zero():
             raise SingularMatrixError("matrix singular to working precision")
         return self._adjugate(cof).scale(d.inverse())
-
-    def derivative(self) -> "LoopMatrix":
-        return LoopMatrix(self.F, [[e.derivative() for e in row] for row in self.rows])
 
     def eq(self, other: "LoopMatrix") -> bool:
         return all(self.rows[i][k] == other.rows[i][k] for i in range(self.n) for k in range(self.n))
@@ -146,15 +121,15 @@ def iwahori_member(A: LoopMatrix) -> bool:
     return True
 
 
-def random_iwahori(F: GF, n: int, prec: int, rng, deg: int = 6) -> LoopMatrix:
+def random_iwahori(F: GF, n: int, prec: int, rng) -> LoopMatrix:
     """Random element of the Iwahori subgroup with polynomial entries of
-    degree <= deg."""
+    degree <= 6."""
     rows = []
     for i in range(n):
         row = []
         for k in range(n):
             lo = 1 if i > k else 0
-            cs = {d: F.rand(rng) for d in range(lo, deg + 1)}
+            cs = {d: F.rand(rng) for d in range(lo, 7)}
             if i == k:
                 cs[0] = F.rand_unit(rng)
             row.append(Series.from_coeffs(F, cs, prec))

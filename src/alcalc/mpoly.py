@@ -3,9 +3,9 @@ Small multivariate polynomials over a pluggable exact field, used to pose
 monodromy conditions on chart coefficients symbolically and to extract
 coefficients of specific monomials.
 
-Coefficients are objects supporting +, -, *, unary -, /, and is_zero();
-a FieldAdapter supplies constants.  Monomials are sorted tuples of
-(variable, exponent); variables are arbitrary hashable labels.
+Coefficients are objects supporting +, -, *, unary -, inverse() and
+is_zero(); a FieldAdapter supplies constants.  Monomials are sorted tuples
+of (variable, exponent); variables are arbitrary hashable labels.
 """
 
 from __future__ import annotations

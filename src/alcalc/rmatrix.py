@@ -12,9 +12,7 @@ must divide exactly (synthetic division, remainder checked).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cofactor import Cofactors
+from .cofactor import Cofactors, Matrix
 from .pval import PVal
 
 
@@ -67,9 +65,6 @@ class VPoly:
     def neg(self) -> "VPoly":
         return VPoly(self.p, [-c for c in self.coeffs])
 
-    def sub(self, o: "VPoly") -> "VPoly":
-        return self.add(o.neg())
-
     def mul(self, o: "VPoly") -> "VPoly":
         if not self.coeffs or not o.coeffs:
             return VPoly.zero(self.p)
@@ -114,39 +109,21 @@ class VPoly:
         return " + ".join(f"({c})*v^{d}" for d, c in enumerate(self.coeffs) if not c.is_zero())
 
 
-@dataclass
-class PMatrix:
+class PMatrix(Matrix):
     """n x n matrix of VPoly entries over the prime p."""
 
-    p: int
-    rows: list[list[VPoly]]
+    __slots__ = ("p", "rows")
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    def __init__(self, p: int, rows: list[list[VPoly]]):
+        self.p = p
+        self.rows = rows
 
     @staticmethod
     def identity(p: int, n: int) -> "PMatrix":
         return PMatrix(p, [[VPoly.const(p, PVal.one(p)) if i == k else VPoly.zero(p) for k in range(n)] for i in range(n)])
 
-    def mul(self, o: "PMatrix") -> "PMatrix":
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc = VPoly.zero(self.p)
-                for m in range(n):
-                    acc = acc.add(self.rows[i][m].mul(o.rows[m][k]))
-                row.append(acc)
-            out.append(row)
-        return PMatrix(self.p, out)
-
-    def add(self, o: "PMatrix") -> "PMatrix":
-        return PMatrix(self.p, [[self.rows[i][k].add(o.rows[i][k]) for k in range(self.n)] for i in range(self.n)])
-
-    def derivative(self) -> "PMatrix":
-        return PMatrix(self.p, [[e.derivative() for e in row] for row in self.rows])
+    def _like(self, rows: list[list[VPoly]]) -> "PMatrix":
+        return PMatrix(self.p, rows)
 
     def det(self) -> VPoly:
         return Cofactors(self.rows).det()
@@ -158,9 +135,6 @@ class PMatrix:
 
     def diag_mod_v(self) -> list[PVal]:
         return [self.rows[i][i].eval0() for i in range(self.n)]
-
-    def to_json(self):
-        return [[{str(d): repr(e.coeff(d)) for d in range(e.degree() + 1)} for e in row] for row in self.rows]
 
 
 def nabla_certify(A: PMatrix, a: tuple[int, ...], det_vp_order: int) -> dict:
@@ -234,14 +208,6 @@ class FrobeniusResult:
         if not self.f_n_is_unit():
             raise ValueError("f_n is not a unit; not a valid chart character")
         return HeckeCharacter(tuple(self.values))
-
-    def to_json(self):
-        return {
-            "valuations": [str(v) if v is not None else "inf" for v in self.valuations],
-            "values": [repr(v) for v in self.values],
-            "ordinary": self.is_ordinary(),
-            "supersingular": self.is_supersingular(),
-        }
 
 
 def frobenius_minors_f(charts: list[PMatrix], s_perms: list[tuple[int, ...]], p: int) -> FrobeniusResult:

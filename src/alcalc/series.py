@@ -74,13 +74,6 @@ class Series:
         """Zero to working precision."""
         return not self.coeffs
 
-    def valuation(self) -> int:
-        """Valuation; for a series that is zero to precision this raises,
-        since the true valuation is unknown."""
-        if not self.coeffs:
-            raise InsufficientPrecisionError("valuation of zero-to-precision series")
-        return self.val
-
     def coeff(self, d: int) -> int:
         if d >= self.prec:
             raise InsufficientPrecisionError(f"coefficient of v^{d} beyond precision {self.prec}")
@@ -158,25 +151,15 @@ class Series:
         if out_len <= 0:
             return Series.zero(F, prec)
         out = [0] * out_len
-        mul_t = F._mul_table
         q = F.q
         add = F.add
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            jmax = min(len(other.coeffs), out_len - i)
-            if mul_t is not None:
-                base = a * q
-                for j in range(jmax):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = add(out[i + j], mul_t[base + b])
-            else:
-                fmul = F.mul
-                for j in range(jmax):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = add(out[i + j], fmul(a, b))
+            for j in range(min(len(other.coeffs), out_len - i)):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] = add(out[i + j], a * b % q)
         return Series(F, lo, out, prec)
 
     def scale(self, c: int) -> "Series":

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .mpoly import Poly, PValAdapter, solve_equations
 from .pval import PVal
 from .weyl import (
     Colength,
@@ -285,45 +286,24 @@ def tame_type_eq(t1: TameTypePresentation, t2: TameTypePresentation):
                 for i in range(n)
             )
             rhs.append(target)
-        # solve the cyclic linear system over Q
-        dim = n * f
-        A = [[Fraction(0)] * dim for _ in range(dim)]
-        b = [Fraction(0)] * dim
+        # solve the cyclic linear system over Q; p*I - (a permutation
+        # matrix) is never singular, so every nu_{j,i} is determined
+        K = PValAdapter(p)
+        equations = []
         for j in range(f):
             sp = perm_mul(perm_mul(ws[j], t1.s.perms[j]), perm_inv(ws[(j + 1) % f]))
             for i in range(n):
-                r = j * n + i
-                A[r][j * n + i] += p
                 # (S' nu_{j+1})_i = nu_{j+1}[ sp^{-1}(i) ]
-                A[r][((j + 1) % f) * n + perm_inv(sp)[i]] -= 1
-                b[r] = Fraction(rhs[j][i])
-        sol = _solve_fraction_linear(A, b)
-        if sol is None:
+                nu_next = Poly.var(K, ((j + 1) % f, perm_inv(sp)[i]))
+                equations.append(Poly.var(K, (j, i)).scale(K.from_int(p)) - nu_next - Poly.const(K, K.from_int(rhs[j][i])))
+        sol = solve_equations(K, equations)
+        if any(sol[(j, i)].a.denominator != 1 for j in range(f) for i in range(n)):
             continue
-        if any(x.denominator != 1 for x in sol):
-            continue
-        nu_rows = [tuple(int(sol[j * n + i]) for i in range(n)) for j in range(f)]
+        nu_rows = [tuple(int(sol[(j, i)].a) for i in range(n)) for j in range(f)]
         x = ExtAffine(Weight.of(nu_rows), PermTuple.of(ws))
         if change_presentation(t1, x).to_json() == t2.to_json():
             return x
     return None
-
-
-def _solve_fraction_linear(A: list[list[Fraction]], b: list[Fraction]):
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [c / pv for c in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                fac = M[r][col]
-                M[r] = [c - fac * d for c, d in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
 
 
 # -- special alcoves ---------------------------------------------------------------
@@ -336,17 +316,6 @@ class SpecialityCertificate:
     k0: int
     u_diamond: ExtAffine
     case: str  # "A" or "B"
-    delta_used: PermTuple | None
-
-    def to_json(self):
-        return {
-            "j0": self.j0,
-            "i0": self.i0,
-            "k0": self.k0,
-            "u_diamond": self.u_diamond.to_json(),
-            "case": self.case,
-            "delta_used": self.delta_used.to_json() if self.delta_used else None,
-        }
 
 
 def _nu_mod_x0_eq(nu1, nu2, shift=None) -> bool:
@@ -428,7 +397,7 @@ def is_special(w_diamond: ExtAffine):
             continue
         u = PermTuple.of([uj if j == j0 else w_diamond.w.perms[j] for j in range(f)])
         case = classify_case(w_diamond.w, u, j0, i0, k0)
-        return SpecialityCertificate(j0, i0, k0, restricted_lift(u), case, None)
+        return SpecialityCertificate(j0, i0, k0, restricted_lift(u), case)
     return None
 
 
@@ -735,9 +704,6 @@ class HeckeCharacter:
         if i == 0:
             return PVal.one(self.values[0].p)
         return self.values[i - 1]
-
-    def to_json(self):
-        return [{"val": str(v.valuation()) if not v.is_zero() else "inf", "repr": repr(v)} for v in self.values]
 
 
 def ps_parameters(chi: HeckeCharacter, sigma_prime_hw: Weight):

@@ -559,9 +559,6 @@ class PermTuple:
     def mul(self, other: "PermTuple") -> "PermTuple":
         return PermTuple(tuple(perm_mul(a, b) for a, b in zip(self.perms, other.perms)))
 
-    def inv(self) -> "PermTuple":
-        return PermTuple(tuple(perm_inv(p) for p in self.perms))
-
     def to_json(self):
         return [list(p) for p in self.perms]
 
@@ -673,10 +670,10 @@ def bruhat_leq(x: ExtAffine, y: ExtAffine) -> bool:
     return all(bruhat_leq_aff(a, b) for a, b in zip(x.components(), y.components()))
 
 
-def up_arrow_leq(a: ExtAffine, b: ExtAffine, slack: int = 2) -> bool:
+def up_arrow_leq(a: ExtAffine, b: ExtAffine) -> bool:
     if (a.n, a.f) != (b.n, b.f):
         raise DimensionMismatchError("comparing elements of different shapes")
-    return all(up_arrow_leq_aff(x, y, slack=slack) for x, y in zip(a.components(), b.components()))
+    return all(up_arrow_leq_aff(x, y) for x, y in zip(a.components(), b.components()))
 
 
 def dot_action(x: ExtAffine, lam: Weight, p: int) -> Weight:

@@ -220,18 +220,6 @@ def _extremal_normal_form(X: LoopMatrix, u_perm, eta, shape_ext: ChartShape) -> 
     return tprime, LoopMatrix(F, Vrows)
 
 
-def _torus_twist_gf(A: LoopMatrix, d0: int) -> LoopMatrix:
-    rows = [row[:] for row in A.rows]
-    rows[0] = [e.scale(d0) for e in rows[0]]
-    return LoopMatrix(A.F, rows)
-
-
-def _torus_twist_pval(A: PMatrix, d0: PVal) -> PMatrix:
-    rows = [row[:] for row in A.rows]
-    rows[0] = [e.scale(d0) for e in rows[0]]
-    return PMatrix(A.p, rows)
-
-
 def _extremal_tops_from_L(L: LoopMatrix, shape: ChartShape):
     """Read the V' coefficients of the extremal normal form from the
     unipotent lower factor, checking the chart degree bounds; returns the
@@ -423,7 +411,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
         raise WitnessError("f_n is not a unit on the constructed lift")
     # torus twist at embedding 0 pinning f_n to t
     d0 = fn * PVal.of(t, p).inverse()
-    A_O_t = [_torus_twist_pval(A_O_list[0], d0)] + A_O_list[1:]
+    A_O_t = [A_O_list[0].scale_rows([d0] + [PVal.one(p)] * (n - 1))] + A_O_list[1:]
     f_sigma = frobenius_minors_f(A_O_t, list(w_perms), p)
     checks["f_n_equals_t"] = (f_sigma.values[-1] - PVal.of(t, p)).is_zero()
     checks["supersingular_sigma"] = f_sigma.is_supersingular() and f_sigma.f_n_is_unit()
@@ -435,7 +423,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     tprimes: list[list[int]] = []
     A_E_t_list: list[PMatrix] = []
     for j in range(f):
-        A_F_j = _torus_twist_gf(A_F_list[j], d0_res) if j == 0 else A_F_list[j]
+        A_F_j = A_F_list[j].scale_rows([d0_res] + [1] * (n - 1)) if j == 0 else A_F_list[j]
         # transfer multiplier w~*(tau) w~*(tau')^{-1} realized at embedding j:
         # perm(s^{-1}) v^{mu - mu'} perm(s')
         s_j = setup.tau.s.perms[j]
@@ -462,9 +450,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
                 got = fullE[vvar(beta, d)]
                 if got.valuation() < 0 or got.residue() != coeffs_ext[beta][d]:
                     raise WitnessError(f"extremal lift does not reduce to the transferred point at {beta}")
-        tvals = [PVal.of(tp, p) for tp in tprime]
-        uj = u_perms[j]
-        A_E_t_list.append(PMatrix(p, [[A_E.rows[i][k].scale(tvals[uj[i]]) for k in range(n)] for i in range(n)]))
+        A_E_t_list.append(A_E.scale_rows([PVal.of(tprime[u_i], p) for u_i in u_perms[j]]))
     checks["nabla_integral_extremal"] = True
 
     f_sigma_prime = frobenius_minors_f(A_E_t_list, list(u_perms), p)
@@ -539,8 +525,6 @@ def extremal_chart_point(n: int, f: int, p: int, y_perms, a_vecs, tops_values, t
         tops = shape.tops(tops_values[j], lambda v: PVal.of(v, p))
         _, A = _integral_chart(shape, tops, f"on the extremal chart point at embedding {j}")
         if torus is not None:
-            tv = [PVal.of(x, p) for x in torus[j]]
-            uperm = tuple(y_perms[j])
-            A = PMatrix(p, [[A.rows[i][k].scale(tv[uperm[i]]) for k in range(n)] for i in range(n)])
+            A = A.scale_rows([PVal.of(torus[j][u_i], p) for u_i in y_perms[j]])
         mats.append(A)
     return mats, frobenius_minors_f(mats, [tuple(yp) for yp in y_perms], p)

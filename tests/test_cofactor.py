@@ -1,5 +1,6 @@
 """The shared cofactor kernel against a plain recursive Laplace expansion,
-on loop matrices (truncated series) and integral v-polynomial matrices."""
+and the shared matrix algebra against entrywise loops, on loop matrices
+(truncated series) and integral v-polynomial matrices."""
 
 import random
 from fractions import Fraction
@@ -125,3 +126,61 @@ class TestPMatrixKernel:
             adj = A.adjugate()
             expect = [[VPoly.const(p, PVal.one(p))]] if n == 1 else laplace_adjugate(A.rows)
             assert all(adj.rows[i][k].coeffs == expect[i][k].coeffs for i in range(n) for k in range(n))
+
+
+def zero_start_mul(A, B, zero):
+    """Row-by-column products summed from the ring's zero."""
+    n = len(A.rows)
+    out = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            acc = zero
+            for m in range(n):
+                acc = acc.add(A.rows[i][m].mul(B.rows[m][k]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def torus_twist(rows, d0):
+    """Row 0 scaled by d0, the other rows kept."""
+    rows = [row[:] for row in rows]
+    rows[0] = [e.scale(d0) for e in rows[0]]
+    return rows
+
+
+class TestMatrixAlgebra:
+    """The shared products, sums, derivatives and row scalings against
+    plain entrywise loops, on both matrix classes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_loop_matrix_ops_match_entrywise(self, n):
+        rng = random.Random(300 + n)
+        F = field(7)
+        same = lambda X, rows: all(same_series(X.rows[i][k], rows[i][k]) for i in range(n) for k in range(n))
+        for _ in range(10):
+            A, B = random_loop_matrix(F, n, rng), random_loop_matrix(F, n, rng)
+            assert same(A.mul(B), zero_start_mul(A, B, Series.zero(F, 10**6)))
+            assert same(A.add(B), [[A.rows[i][k].add(B.rows[i][k]) for k in range(n)] for i in range(n)])
+            assert same(A.derivative(), [[e.derivative() for e in row] for row in A.rows])
+            factors = [rng.randrange(F.q) for _ in range(n)]
+            assert same(A.scale_rows(factors), [[e.scale(c) for e in row] for row, c in zip(A.rows, factors)])
+            d0 = rng.randrange(1, F.q)
+            assert same(A.scale_rows([d0] + [1] * (n - 1)), torus_twist(A.rows, d0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pmatrix_ops_match_entrywise(self, n):
+        rng = random.Random(400 + n)
+        p = 5
+        same = lambda X, rows: all(X.rows[i][k].coeffs == rows[i][k].coeffs for i in range(n) for k in range(n))
+        for _ in range(6):
+            A = PMatrix(p, [[random_vpoly(p, rng) for _ in range(n)] for _ in range(n)])
+            B = PMatrix(p, [[random_vpoly(p, rng) for _ in range(n)] for _ in range(n)])
+            assert same(A.mul(B), zero_start_mul(A, B, VPoly.zero(p)))
+            assert same(A.add(B), [[A.rows[i][k].add(B.rows[i][k]) for k in range(n)] for i in range(n)])
+            assert same(A.derivative(), [[e.derivative() for e in row] for row in A.rows])
+            factors = [PVal.of(Fraction(rng.randrange(-9, 10), rng.choice([1, p])), p) for _ in range(n)]
+            assert same(A.scale_rows(factors), [[e.scale(c) for e in row] for row, c in zip(A.rows, factors)])
+            d0 = PVal.of(rng.randrange(1, 9), p) + PVal.sqrt_p(p, rng.randrange(-3, 4))
+            assert same(A.scale_rows([d0] + [PVal.one(p)] * (n - 1)), torus_twist(A.rows, d0))

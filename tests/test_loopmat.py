@@ -36,6 +36,28 @@ class TestSeries:
         p = a.mul(b)
         assert p.coeff(-1) == 2 and p.coeff(0) == 3
 
+    @pytest.mark.parametrize("q", [53, 521])
+    def test_mul_matches_naive_convolution(self, q):
+        F = field(q)
+        rng = random.Random(q)
+
+        def rand():
+            val = rng.randrange(-3, 4)
+            cs = [rng.randrange(1, q)] + [rng.choice([0, rng.randrange(q)]) for _ in range(rng.randrange(8))]
+            return Series(F, val, cs, val + rng.randrange(len(cs), len(cs) + 6))
+
+        for _ in range(40):
+            a, b = rand(), rand()
+            prec = min(a.prec + b.val, b.prec + a.val)
+            conv = {}
+            for i, x in enumerate(a.coeffs):
+                for j, y in enumerate(b.coeffs):
+                    d = a.val + b.val + i + j
+                    if d < prec:
+                        conv[d] = (conv.get(d, 0) + x * y) % q
+            got, want = a.mul(b), Series.from_coeffs(F, conv, prec)
+            assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
     def test_unit_inverse_precision(self):
         F = field(5)
         a = Series.from_coeffs(F, {1: 2, 2: 1}, 24)  # valuation 1

@@ -224,7 +224,7 @@ class TestChangePresentation:
         rng = random.Random(3)
         p = 53
         for _ in range(40):
-            n, f = rng.choice([(2, 1), (3, 1), (2, 2)])
+            n, f = rng.choice([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
             tp = TameTypePresentation(
                 PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
                 Weight.of([tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(f)]),
