@@ -158,7 +158,9 @@ def avar(i: int):
 
 
 class ChartSystem:
-    """The symbolic chart at one embedding over a chosen scalar field."""
+    """The symbolic chart at one embedding over a chosen scalar field: the
+    normal form B and the monodromy equations are built once, here, and
+    the system does not change afterwards."""
 
     def __init__(self, shape: ChartShape, K: FieldAdapter):
         self.shape = shape
@@ -180,7 +182,8 @@ class ChartSystem:
             self.V[i][k] = ent
         if shape.kind == "colength_one":
             self.vars.append(CVAR)
-        self._equations: list[Poly] | None = None
+        self.B, C = self.assemble()
+        self.equations: list[Poly] = self._monodromy_equations(self.B, C)
 
     # -- assembly ---------------------------------------------------------
     def _vpp_pow_eta(self, exps) -> list[list[VPolyP]]:
@@ -244,13 +247,10 @@ class ChartSystem:
             C = _mat_mul(C, _mat_mul(self._perm_matrix(perm_inv(s_alpha)), self._u_c(-1), K), K)
         return B, C
 
-    def equations(self) -> list[Poly]:
-        if self._equations is not None:
-            return self._equations
+    def _monodromy_equations(self, B, C) -> list[Poly]:
         K = self.K
         sh = self.shape
         n = sh.n
-        B, C = self.assemble()
         b_diag = [Poly.var(K, avar(perm_inv(sh.conj_perm)[i])) for i in range(n)]
         vB1 = [[_vp_shift(_vp_deriv(B[i][k], K), K) for k in range(n)] for i in range(n)]
         Bb = [[[c * b_diag[k] for c in B[i][k]] for k in range(n)] for i in range(n)]
@@ -269,7 +269,6 @@ class ChartSystem:
                 if (i, k) in flagged and q:
                     if not q[0].is_zero():
                         eqs.append(q[0])
-        self._equations = eqs
         return eqs
 
     # -- solving -------------------------------------------------------------
@@ -280,7 +279,7 @@ class ChartSystem:
         assignments = dict(assignments)
         for i, ai in enumerate(self.shape.a_vec):
             assignments[avar(i)] = self.K.from_int(ai)
-        eqs = [e.substitute(assignments) for e in self.equations()]
+        eqs = [e.substitute(assignments) for e in self.equations]
         nzd = CVAR if (self.shape.kind == "colength_one" and CVAR not in assignments) else None
         solved = solve_equations(self.K, eqs, nonzerodivisor=nzd)
         full = dict(assignments)
@@ -294,7 +293,7 @@ class ChartSystem:
     def _realize(self, full: dict, entry) -> list[list]:
         """Rows of A = conj^{-1} B conj at a full solution; `entry` makes
         each matrix entry from its list of v-coefficients."""
-        B, _ = self.assemble()
+        B = self.B
         conj = self.shape.conj_perm
         rows = []
         for i in range(self.shape.n):
@@ -323,12 +322,17 @@ _SYSTEM_CACHE: dict = {}
 
 def _cached_system(shape: ChartShape, K: FieldAdapter, q: int | None) -> ChartSystem:
     """The symbolic system of `shape` over K (q = the field size, or None
-    for the p-valuation scalars), assembled once per static chart shape;
-    the monodromy parameter enters symbolically, so a cached system is
-    shared by every a_vec through a shallow copy carrying `shape`."""
+    for the p-valuation scalars), built once per static chart shape.  The
+    monodromy parameter enters symbolically, so every a_vec shares a cached
+    system through a shallow copy carrying `shape`, and the copy shares the
+    normal form and the equations.  The cache holds the systems of one
+    prime: a miss at another prime empties it, and a system evicted while
+    another thread uses it only costs that thread a rebuild."""
     key = (q, shape.n, shape.p, shape.kind, shape.u_perm, shape.conj_perm)
     sys = _SYSTEM_CACHE.get(key)
     if sys is None:
+        if any(k[2] != shape.p for k in list(_SYSTEM_CACHE)):
+            _SYSTEM_CACHE.clear()
         sys = _SYSTEM_CACHE[key] = ChartSystem(shape, K)
         return sys
     clone = copy.copy(sys)

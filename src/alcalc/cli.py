@@ -84,6 +84,8 @@ def _validate(cfg):
         raise ConfigError(f"p = {cfg['p']} is not prime")
     if cfg["trials"] < 1:
         raise ConfigError("trials must be positive")
+    if cfg["count"] < 1:
+        raise ConfigError("count must be positive")
 
 
 def _deep_omega(n: int, f: int, p: int) -> Weight:

@@ -29,6 +29,16 @@ class TestExitCodes:
         assert run(["alcoves", "special", "--n", "1"]) == 1
         assert run(["verify", "weyl", "--trials", "0"]) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_count_is_one_with_message(self, capsys, count):
+        # a family of no characters is bad input, not a vacuous pass or a
+        # failed check
+        assert run(["witness", "triple", "--n", "3", "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be positive\n"
+        assert "Traceback" not in captured.err
+
     def test_unknown_subcommand_is_one(self, capsys):
         assert run(["verify", "frobnicate"]) == 1
 

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import alcalc.chartsolve as chartsolve
+from alcalc.chartsolve import ChartShape, ChartSystem, gf_chart_system, pval_chart_system
+from alcalc.gf import field
 from alcalc.pval import PVal
 from alcalc.rmatrix import PMatrix, VPoly, frobenius_minors_f, nabla_certify
 from alcalc.serre import build_setup, special_pairs
@@ -256,7 +259,6 @@ class TestOneSolvePerChart:
         # every special-fiber chart point is solved by build_vc_matrix and
         # reused from there, never solved a second time
         import alcalc.witness as witness_mod
-        from alcalc.chartsolve import ChartSystem
         from alcalc.mpoly import GFAdapter
 
         setup = make_setup()
@@ -276,6 +278,53 @@ class TestOneSolvePerChart:
         witness_triple_intersection(setup, t=2)
         assert counts["builds"] >= setup.f
         assert counts["gf_solves"] == counts["builds"]
+
+    @pytest.mark.parametrize("make_setup", [setup_n3, _f2_setup, _n4_setup])
+    def test_each_system_assembled_once(self, monkeypatch, make_setup):
+        # realizations read the normal form stored at construction, so from
+        # an empty cache a witness assembles once per system it builds
+        setup = make_setup()
+        counts = {"assembles": 0, "inits": 0}
+        assemble, init = ChartSystem.assemble, ChartSystem.__init__
+
+        def counting_assemble(self):
+            counts["assembles"] += 1
+            return assemble(self)
+
+        def counting_init(self, *args):
+            counts["inits"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
+        monkeypatch.setattr(ChartSystem, "assemble", counting_assemble)
+        monkeypatch.setattr(ChartSystem, "__init__", counting_init)
+        witness_triple_intersection(setup, t=2)
+        assert counts["inits"] >= setup.f
+        assert counts["assembles"] == counts["inits"]
+
+
+class TestSystemCache:
+    @staticmethod
+    def _shape(p, a_vec=(1, 0, 0)):
+        return ChartShape(n=3, p=p, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=a_vec)
+
+    def test_hit_shares_the_built_system(self, monkeypatch):
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
+        first = pval_chart_system(self._shape(53))
+        second = pval_chart_system(self._shape(53, a_vec=(30, 14, 0)))
+        assert second is not first
+        assert second.shape.a_vec == (30, 14, 0) and first.shape.a_vec == (1, 0, 0)
+        assert second.equations is first.equations
+        assert second.B is first.B
+
+    def test_new_prime_evicts_the_old_prime(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", cache)
+        pval_chart_system(self._shape(53))
+        gf_chart_system(self._shape(53), field(53))
+        assert len(cache) == 2 and {key[2] for key in cache} == {53}
+        pval_chart_system(self._shape(59))
+        assert len(cache) == 1 and {key[2] for key in cache} == {59}
 
 
 class TestWitnessN4:
