@@ -1,9 +1,10 @@
 """
 Exact n x n matrices over truncated Laurent series, with the Iwahori
-structure of the loop group of GL_n over F_p((v)): membership tests,
-affine Bruhat (Iwahori double coset) decomposition by valuation-pivot
-elimination, the mod-p monodromy check, and the legal-row-operation
-reduction used by the colength-one chart analysis.
+structure of the loop group of GL_n over F_p((v)): random Iwahori
+elements, affine Bruhat (Iwahori double coset) decomposition by
+inverse-free valuation-pivot elimination, the mod-p monodromy check, and
+the legal-row-operation reduction used by the colength-one chart
+analysis.
 
 Row/column operations are "legal" for the Iwahori subgroup
 I = {A : A integral, A mod v upper triangular with unit diagonal}:
@@ -92,9 +93,6 @@ class LoopMatrix(Matrix):
             raise SingularMatrixError("matrix singular to working precision")
         return self._adjugate(cof).scale(d.inverse())
 
-    def eq(self, other: "LoopMatrix") -> bool:
-        return all(self.rows[i][k] == other.rows[i][k] for i in range(self.n) for k in range(self.n))
-
     def min_precision(self) -> int:
         return min(e.prec for row in self.rows for e in row)
 
@@ -103,22 +101,6 @@ class LoopMatrix(Matrix):
 
 
 # -- Iwahori structure ----------------------------------------------------------
-
-
-def iwahori_member(A: LoopMatrix) -> bool:
-    """A is in the Iwahori subgroup: integral entries, upper triangular
-    mod v, invertible diagonal mod v."""
-    n = A.n
-    for i in range(n):
-        for k in range(n):
-            e = A.rows[i][k]
-            if not e.is_zero() and e.val < 0:
-                return False
-            if i > k and e.coeff(0) != 0:
-                return False
-            if i == k and e.coeff(0) == 0:
-                return False
-    return True
 
 
 def random_iwahori(F: GF, n: int, prec: int, rng) -> LoopMatrix:
@@ -142,19 +124,35 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
 
     Valuation-pivot Gaussian elimination using only Iwahori-legal row and
     column operations.  Pivot rule: among entries of minimal valuation in
-    the unprocessed submatrix, smallest column then largest row.
+    the live (unprocessed) submatrix, smallest column then largest row.
+
+    Inverse-free: the pivot u*v^m is never normalised.  Another live row
+    with entry e in the pivot column is cleared by
+    R_i <- u*R_i - (e/v^m)*R_r, with u the exact polynomial of the
+    pivot's known coefficients, so the unit scaling costs no precision.
+    Live block: row operations touch only the live columns (retired rows
+    and columns are never read again), and the new zero under the pivot
+    is written with the precision the products would give it.  Column
+    clear: with the pivot column zero off the pivot,
+    C_k <- C_k - (f/u)*C_c changes no coefficient on a live row and only
+    lowers entry (i, k) to precision prec(W[i][c]) + val(f), which is
+    applied without multiplying.  Every entry read has the valuation and
+    precision of the normalising elimination, so the answer and the
+    exception raised are the same.
     """
     n = A.n
-    W = A.copy()
+    W = [row[:] for row in A.rows]
     rows_left = set(range(n))
     cols_left = set(range(n))
     nu = [0] * n
     w_of_col = [0] * n
+    # no operation raises a precision, so no entry ever gets above this
+    top = max(e.prec for row in W for e in row)
     for _ in range(n):
         best = None
         for k in sorted(cols_left):
             for i in sorted(rows_left):
-                e = W.rows[i][k]
+                e = W[i][k]
                 if e.is_zero():
                     continue
                 cand = (e.val, k, -i)
@@ -164,44 +162,43 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
             raise SingularMatrixError("no pivot: matrix singular to working precision")
         m, c, negr = best
         r = -negr
-        pivot = W.rows[r][c]
-        # scale row r so the pivot becomes exactly v^m (legal: unit scaling)
-        unit = pivot.shift(-m)  # valuation-0 unit
-        uinv = unit.inverse()
-        W.rows[r] = [e.mul(uinv) for e in W.rows[r]]
+        rows_left.discard(r)
+        cols_left.discard(c)
+        pivot_row = W[r]
+        pivot = pivot_row[c]
+        # every live nonzero entry has valuation >= m, so a unit of
+        # precision top - m is exact for the products below
+        unit = Series(A.F, 0, pivot.coeffs, top - m)
         # clear the rest of column c with legal row operations
-        for i in list(rows_left):
-            if i == r:
-                continue
-            e = W.rows[i][c]
-            if e.is_zero():
-                continue
-            f = e.shift(-m)  # e / v^m = e / pivot
-            if i > r and (not f.is_zero()) and f.val < 1:
-                raise PivotRuleError("pivot rule violated: illegal row operation required")
-            W.rows[i] = [W.rows[i][k].sub(f.mul(W.rows[r][k])) for k in range(n)]
-        # clear the rest of row r with legal column operations
-        for k in list(cols_left):
-            if k == c:
-                continue
-            e = W.rows[r][k]
+        for i in rows_left:
+            e = W[i][c]
             if e.is_zero():
                 continue
             f = e.shift(-m)
-            if k < c and (not f.is_zero()) and f.val < 1:
+            if i > r and f.val < 1:
+                raise PivotRuleError("pivot rule violated: illegal row operation required")
+            row = W[i]
+            for k in cols_left:
+                row[k] = unit.mul(row[k]).sub(f.mul(pivot_row[k]))
+            # u*e - f*pivot is zero below the precision of f*pivot
+            row[c] = Series.zero(A.F, min(e.prec, pivot.prec - m + e.val))
+        # clear the rest of row r with legal column operations: only the
+        # precision of the live rows changes
+        for k in cols_left:
+            e = pivot_row[k]
+            if e.is_zero():
+                continue
+            d = e.val - m  # val(f)
+            if k < c and d < 1:
                 raise PivotRuleError("pivot rule violated: illegal column operation required")
-            for i in range(n):
-                W.rows[i][k] = W.rows[i][k].sub(f.mul(W.rows[i][c]))
+            for i in rows_left:
+                x = W[i][k]
+                prec = W[i][c].prec + d
+                if prec < x.prec:
+                    W[i][k] = Series(A.F, x.val, x.coeffs, prec)
         nu[r] = m
         w_of_col[c] = r
-        rows_left.discard(r)
-        cols_left.discard(c)
     return tuple(nu), tuple(w_of_col)
-
-
-def coset_member(A: LoopMatrix, nu: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    """A in I v^nu w I, tested via the decomposition."""
-    return affine_bruhat_decompose(A) == (tuple(nu), tuple(w))
 
 
 def nabla_check(A: LoopMatrix, a: tuple[int, ...]) -> bool:

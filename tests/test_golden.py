@@ -26,6 +26,7 @@ CASES = {
     "verify_z.json": ["verify", "z", "--trials", "3", "--seed", "1"],
     "verify_partition.json": ["verify", "partition"],
     "verify_nabla.json": ["verify", "nabla", "--trials", "12", "--seed", "1"],
+    "verify_nabla_t40.json": ["verify", "nabla", "--trials", "40", "--seed", "7"],
     "verify_bruhat.json": ["verify", "bruhat", "--n", "3", "--trials", "20", "--seed", "1"],
     "witness_triple.json": ["witness", "triple", "--n", "4", "--f", "1", "--pair", "1", "--t", "5", "--count", "2"],
     "witness_triple_p521.json": ["witness", "triple", "--n", "3", "--f", "2", "--p", "521", "--t", "2", "--count", "2"],

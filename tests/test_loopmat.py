@@ -7,17 +7,101 @@ import pytest
 from alcalc.gf import field
 from alcalc.loopmat import (
     LoopMatrix,
+    PivotRuleError,
     RowReduceError,
     SingularMatrixError,
     affine_bruhat_decompose,
-    coset_member,
     default_precision,
-    iwahori_member,
     iwahori_row_reduce,
     nabla_check,
     random_iwahori,
 )
 from alcalc.series import InsufficientPrecisionError, Series
+
+
+def matrix_eq(A: LoopMatrix, B: LoopMatrix) -> bool:
+    return all(A.rows[i][k] == B.rows[i][k] for i in range(A.n) for k in range(A.n))
+
+
+def iwahori_member(A: LoopMatrix) -> bool:
+    """A is in the Iwahori subgroup: integral entries, upper triangular
+    mod v, invertible diagonal mod v."""
+    n = A.n
+    for i in range(n):
+        for k in range(n):
+            e = A.rows[i][k]
+            if not e.is_zero() and e.val < 0:
+                return False
+            if i > k and e.coeff(0) != 0:
+                return False
+            if i == k and e.coeff(0) == 0:
+                return False
+    return True
+
+
+def normalising_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Oracle for affine_bruhat_decompose: the elimination that scales each
+    pivot row by the inverse of the pivot's unit part, so the pivot becomes
+    exactly v^m, and applies every row and column operation to the whole
+    matrix."""
+    n = A.n
+    W = A.copy()
+    rows_left = set(range(n))
+    cols_left = set(range(n))
+    nu = [0] * n
+    w_of_col = [0] * n
+    for _ in range(n):
+        best = None
+        for k in sorted(cols_left):
+            for i in sorted(rows_left):
+                e = W.rows[i][k]
+                if e.is_zero():
+                    continue
+                cand = (e.val, k, -i)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            raise SingularMatrixError("no pivot: matrix singular to working precision")
+        m, c, negr = best
+        r = -negr
+        pivot = W.rows[r][c]
+        # scale row r so the pivot becomes exactly v^m (legal: unit scaling)
+        unit = pivot.shift(-m)  # valuation-0 unit
+        uinv = unit.inverse()
+        W.rows[r] = [e.mul(uinv) for e in W.rows[r]]
+        # clear the rest of column c with legal row operations
+        for i in list(rows_left):
+            if i == r:
+                continue
+            e = W.rows[i][c]
+            if e.is_zero():
+                continue
+            f = e.shift(-m)  # e / v^m = e / pivot
+            if i > r and (not f.is_zero()) and f.val < 1:
+                raise PivotRuleError("pivot rule violated: illegal row operation required")
+            W.rows[i] = [W.rows[i][k].sub(f.mul(W.rows[r][k])) for k in range(n)]
+        # clear the rest of row r with legal column operations
+        for k in list(cols_left):
+            if k == c:
+                continue
+            e = W.rows[r][k]
+            if e.is_zero():
+                continue
+            f = e.shift(-m)
+            if k < c and (not f.is_zero()) and f.val < 1:
+                raise PivotRuleError("pivot rule violated: illegal column operation required")
+            for i in range(n):
+                W.rows[i][k] = W.rows[i][k].sub(f.mul(W.rows[i][c]))
+        nu[r] = m
+        w_of_col[c] = r
+        rows_left.discard(r)
+        cols_left.discard(c)
+    return tuple(nu), tuple(w_of_col)
+
+
+def coset_member(A: LoopMatrix, nu: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    """A in I v^nu w I, tested via the decomposition."""
+    return affine_bruhat_decompose(A) == (tuple(nu), tuple(w))
 
 
 class TestPrimeField:
@@ -97,14 +181,14 @@ class TestMatrixOps:
     def test_identity_inverse(self):
         F = field(5)
         I = LoopMatrix.identity(F, 3, 20)
-        assert I.inverse().eq(I)
+        assert matrix_eq(I.inverse(), I)
 
     def test_diag_v_inverse(self):
         F = field(5)
         A = LoopMatrix.monomial(F, (1, 0), (0, 1), 20)
         Ainv = A.inverse()
         assert Ainv.rows[0][0].val == -1
-        assert A.mul(Ainv).eq(LoopMatrix.identity(F, 2, 18))
+        assert matrix_eq(A.mul(Ainv), LoopMatrix.identity(F, 2, 18))
 
     def test_random_iwahori_inverse_roundtrip(self):
         rng = random.Random(0)
@@ -112,7 +196,7 @@ class TestMatrixOps:
         for _ in range(25):
             n = rng.choice([2, 3, 4])
             X = random_iwahori(F, n, 24, rng)
-            assert X.mul(X.inverse()).eq(LoopMatrix.identity(F, n, 20))
+            assert matrix_eq(X.mul(X.inverse()), LoopMatrix.identity(F, n, 20))
 
     def test_singular_raises(self):
         F = field(5)
@@ -175,6 +259,111 @@ class TestDecompose:
         F = field(5)
         with pytest.raises(SingularMatrixError):
             affine_bruhat_decompose(LoopMatrix.zero(F, 2, 10))
+
+    @staticmethod
+    def _random_matrix(F, n, prec, rng):
+        """Laurent polynomial entries of valuation -3..3, a fifth of them
+        zero, each known to its own precision between 2 and prec."""
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                lo = rng.randrange(-3, 4)
+                cs = {} if rng.random() < 0.2 else {d: F.rand(rng) for d in range(lo, lo + rng.randrange(1, 6))}
+                row.append(Series.from_coeffs(F, cs, rng.randrange(2, prec + 1)))
+            rows.append(row)
+        return LoopMatrix(F, rows)
+
+    @staticmethod
+    def _outcome(decompose, A):
+        try:
+            return decompose(A)
+        except ArithmeticError as exc:
+            return type(exc)
+
+    def test_agrees_with_normalising_elimination(self):
+        # coset products I v^nu w I, random matrices and products of two
+        # random matrices (mixed entry precisions), at every n, p and
+        # precisions from 2 up to the working precision
+        rng = random.Random(17)
+        kinds = {"returned": 0, "raised": 0}
+        for n in (2, 3, 4, 5):
+            for q in (2, 3, 5, 7, 53):
+                F = field(q)
+                for trial in range(18):
+                    prec = rng.randrange(2, default_precision(n, 8) + 1)
+                    if trial % 3 == 0:
+                        nu = tuple(rng.randrange(-3, 4) for _ in range(n))
+                        w = list(range(n))
+                        rng.shuffle(w)
+                        M = LoopMatrix.monomial(F, nu, tuple(w), prec)
+                        A = random_iwahori(F, n, prec, rng).mul(M).mul(random_iwahori(F, n, prec, rng))
+                    elif trial % 3 == 1:
+                        A = self._random_matrix(F, n, prec, rng)
+                    else:
+                        A = self._random_matrix(F, n, prec, rng).mul(self._random_matrix(F, n, prec, rng))
+                    want = self._outcome(normalising_decompose, A)
+                    assert self._outcome(affine_bruhat_decompose, A) == want, (n, q, prec, trial)
+                    kinds["raised" if isinstance(want, type) else "returned"] += 1
+        assert kinds["returned"] > 200 and kinds["raised"] > 20
+
+    def test_cleared_entries_keep_the_pivot_precision(self):
+        # the pivot 1 + O(v^2) fixes v*d - b*c only to O(v^3), so the entry
+        # v^3 left after the clear is zero to precision: both the new zero
+        # under the pivot and the column clear must carry that precision
+        F = field(5)
+        A = LoopMatrix(
+            F,
+            [
+                [Series.monomial(F, 1, 1, 20), Series.from_coeffs(F, {1: 1, 3: 1}, 20)],
+                [Series.one(F, 2), Series.one(F, 20)],
+            ],
+        )
+        for decompose in (normalising_decompose, affine_bruhat_decompose):
+            with pytest.raises(SingularMatrixError):
+                decompose(A)
+
+    def test_unit_scaling_keeps_precision(self):
+        # scaling a row by the pivot's unit part, taken to the pivot's
+        # precision only, would lose the precision this answer needs
+        F = field(2)
+        spec = [
+            [(2, [1], 15), (3, [1, 1, 1], 9), (2, [1], 7)],
+            [(1, [1, 1, 0, 0, 1], 11), (-1, [1], 2), (0, [1, 1], 12)],
+            [(3, [1], 9), (15, [], 15), (3, [1, 0, 1], 9)],
+        ]
+        A = LoopMatrix(F, [[Series(F, val, cs, prec) for val, cs, prec in row] for row in spec])
+        want = ((2, -1, 6), (0, 1, 2))
+        assert normalising_decompose(A) == want
+        assert affine_bruhat_decompose(A) == want
+
+    def test_no_inverse_and_bounded_products(self, monkeypatch):
+        calls = {"inverse": 0, "mul": 0}
+        inverse, mul = Series.inverse, Series.mul
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        rng = random.Random(5)
+        F = field(7)
+        for n in (2, 3, 4, 5):
+            prec = default_precision(n, 8)
+            nu = tuple(rng.randrange(-3, 4) for _ in range(n))
+            w = tuple(rng.sample(range(n), n))
+            A = random_iwahori(F, n, prec, rng).mul(LoopMatrix.monomial(F, nu, w, prec)).mul(random_iwahori(F, n, prec, rng))
+            calls.update(inverse=0, mul=0)
+            with monkeypatch.context() as mp:
+                mp.setattr(Series, "inverse", counted("inverse", inverse))
+                mp.setattr(Series, "mul", counted("mul", mul))
+                assert affine_bruhat_decompose(A) == (nu, w)
+            # two products per live entry off the pivot column of each
+            # cleared row: at most (n-1)n(2n-1)/3, below 2(n^3-n)/3
+            assert calls["inverse"] == 0
+            assert 0 < calls["mul"] <= (n - 1) * n * (2 * n - 1) // 3
 
 
 class TestNabla:
@@ -241,7 +430,7 @@ class TestRowReduce:
                     B.rows[i] = [B.rows[i][c].add(f.mul(B.rows[k][c])) for c in range(3)]
                 else:
                     B.rows[i] = [e.mul(f) for e in B.rows[i]]
-            assert B.eq(lower)
+            assert matrix_eq(B, lower)
 
     def test_minor_failure_named(self):
         # a_31 = a_21 a_32 makes M_2 singular
