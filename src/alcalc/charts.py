@@ -14,6 +14,7 @@ a_beta are the mod-v entries of the lower-unipotent chart matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .chartsolve import CVAR, ChartShape, gf_chart_system, vvar
@@ -48,14 +49,15 @@ class PathSets:
     I: dict
 
 
-def _chains(k: int, i: int) -> list[tuple[tuple[int, int], ...]]:
+@lru_cache(maxsize=None)
+def _chains(k: int, i: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All increasing index chains from i up to k: 2^(k-i-1) of them."""
     out = []
     for r in range(k - i):
         for pick in combinations(range(i + 1, k), r):
             stations = [i] + list(pick) + [k]
             out.append(tuple((stations[m + 1], stations[m]) for m in range(len(stations) - 1)))
-    return out
+    return tuple(out)
 
 
 def _delta_pos(w, beta: tuple[int, int]) -> int:
@@ -69,7 +71,7 @@ def path_sets(beta: tuple[int, int], w) -> PathSets:
     if not k > i:
         raise PathSetError(f"{beta} is not a negative root")
     D = tuple(((t, i), (k, t)) for t in range(i + 1, k))
-    P = tuple(_chains(k, i))
+    P = _chains(k, i)
     I = {}
     for (b1, b2) in D:
         target = _delta_pos(w, b1)
@@ -248,11 +250,18 @@ def z_minus_alpha_poly(shape: ChartShape, w, K) -> Poly:
     return Z
 
 
+@lru_cache(maxsize=64)
+def z_minus_alpha_gf(shape: ChartShape, w, F: GF) -> Poly:
+    """Z_{-alpha} over F_p, built once per (shape, w, F) and shared by every
+    caller, which must not mutate it.  A GenericityError is raised again on
+    every call, since the cache keeps no exceptions."""
+    return z_minus_alpha_poly(shape, w, GFAdapter(F))
+
+
 def z_minus_alpha(shape: ChartShape, w, c_values: dict, F: GF):
     """Evaluate Z_{-alpha} at concrete top coefficients (int-encoded field
     values keyed by negative root)."""
-    K = GFAdapter(F)
-    Z = z_minus_alpha_poly(shape, w, K)
+    Z = z_minus_alpha_gf(shape, w, F)
     out = Z.substitute(shape.tops(c_values, lambda v: FElem(F, v)))
     if not out.is_constant():
         raise ChartInvariantError("Z_{-alpha} is not constant after substituting every top coefficient")
@@ -295,22 +304,6 @@ def partition_lemma_check(u, w, n: int) -> bool:
             if sum(_delta_pos(w, b) for b in ch) != target:
                 return False
     return True
-
-
-def partition_lemma_check_diamonds(u_diamond, w_diamond) -> bool:
-    """Diamond-level wrapper: validates that both inputs are genuine
-    restricted lifts (a corrupted translation part is a precondition
-    violation, not a lemma failure) before checking the identity at the
-    distinguished embedding, the first."""
-    from .weyl import nu_w as _nu_w
-
-    n = w_diamond.n
-    for x, name in ((u_diamond, "u"), (w_diamond, "w")):
-        for j in range(x.f):
-            nu, perm = x.component(j)
-            if nu != _nu_w(perm):
-                raise ValueError(f"precondition violation: {name}^diamond has a corrupted translation part at embedding {j}")
-    return partition_lemma_check(u_diamond.w.perms[0], w_diamond.w.perms[0], n)
 
 
 # -- chart points and the V(c) matrix ------------------------------------------------

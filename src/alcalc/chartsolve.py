@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf import GF
 from .loopmat import LoopMatrix
@@ -122,7 +123,12 @@ class ChartShape:
     def tops(self, values: dict, lift) -> dict:
         """The top-coefficient assignment {V_beta's top variable:
         lift(values[beta])} over every negative root beta."""
-        return {vvar(b, self.degree_bound(b)): lift(values[b]) for b in negative_roots(self.n)}
+        return {v: lift(values[b]) for b, v in self._top_vars}
+
+    @cached_property
+    def _top_vars(self) -> tuple:
+        # (beta, V_beta's top variable) over Phi^-, computed once per shape
+        return tuple((b, vvar(b, self.degree_bound(b))) for b in negative_roots(self.n))
 
     def degree_bound(self, beta: tuple[int, int]) -> int:
         """deg V_beta <= -<eta, beta> - [u^{-1}(beta) > 0] for beta in Phi^-."""

@@ -269,7 +269,7 @@ def cmd_verify_z(cfg, report: Report):
                 continue
             a_vec = tuple(17 * (n - i) + 1 for i in range(n))  # generic gaps
             shape = ChartShape(n=n, p=q, kind="colength_one", u_perm=up, conj_perm=wp, a_vec=a_vec)
-            Z = charts.z_minus_alpha_poly(shape, wp, GFAdapter(F))
+            Z = charts.z_minus_alpha_gf(shape, wp, F)
             chain_mono = tuple(
                 sorted(((vvar((i + 1, i), shape.degree_bound((i + 1, i))), 1) for i in range(n - 1)), key=lambda t: repr(t[0]))
             )

@@ -84,9 +84,6 @@ class Series:
     def is_unit(self) -> bool:
         return bool(self.coeffs) and self.val == 0
 
-    def constant_term(self) -> int:
-        return self.coeff(0)
-
     def __eq__(self, other: object) -> bool:
         """Equality of the overlapping known window (pessimistic)."""
         if not isinstance(other, Series):
@@ -150,17 +147,17 @@ class Series:
         out_len = min(len(self.coeffs) + len(other.coeffs) - 1, prec - lo)
         if out_len <= 0:
             return Series.zero(F, prec)
+        # accumulate raw products and reduce each coefficient once
         out = [0] * out_len
-        q = F.q
-        add = F.add
-        for i, a in enumerate(self.coeffs):
+        bs = other.coeffs
+        for i, a in enumerate(self.coeffs[:out_len]):
             if a == 0:
                 continue
-            for j in range(min(len(other.coeffs), out_len - i)):
-                b = other.coeffs[j]
+            for j, b in enumerate(bs[: out_len - i], i):
                 if b:
-                    out[i + j] = add(out[i + j], a * b % q)
-        return Series(F, lo, out, prec)
+                    out[j] += a * b
+        q = F.q
+        return Series(F, lo, [c % q for c in out], prec)
 
     def scale(self, c: int) -> "Series":
         F = self.F

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import ChartPoint, GenericityError, build_vc_matrix, minor_identities, z_minus_alpha
+from .charts import ChartPoint, GenericityError, build_vc_matrix, minor_identities, z_minus_alpha, z_minus_alpha_gf
 from .chartsolve import CVAR, ChartShape, pval_chart_system, vvar
 from .gf import GF, FElem, field
 from .loopmat import LoopMatrix, affine_bruhat_decompose, default_precision, iwahori_row_reduce, nabla_check
@@ -307,11 +307,8 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     def _z_solve_support(offset: int) -> dict:
         # Z is affine-linear in c_{-alpha} with a unit coefficient on any
         # branch: support the other coordinates on units and solve Z = 0
-        from .charts import z_minus_alpha_poly
-        from .mpoly import GFAdapter
-
         cv = _units([b for b in roots if b != malpha_root], 2 + offset)
-        Z = z_minus_alpha_poly(shape0, w0, GFAdapter(F))
+        Z = z_minus_alpha_gf(shape0, w0, F)
         Zl = Z.substitute({vvar(b, shape0.degree_bound(b)): FElem(F, cv[b]) for b in cv})
         const, lin = Zl.as_affine()
         coeff = lin.get(vvar(malpha_root, shape0.degree_bound(malpha_root)))

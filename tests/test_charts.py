@@ -329,16 +329,28 @@ class TestBuildVc:
             build_vc_matrix(shape, {(0, 1): 1}, F, 40)
 
 
+def partition_lemma_check_diamonds(u_diamond, w_diamond) -> bool:
+    """Diamond-level wrapper: validates that both inputs are genuine
+    restricted lifts (a corrupted translation part is a precondition
+    violation, not a lemma failure) before checking the identity at the
+    distinguished embedding, the first."""
+    from alcalc.weyl import nu_w
+
+    for x, name in ((u_diamond, "u"), (w_diamond, "w")):
+        for j in range(x.f):
+            nu, perm = x.component(j)
+            if nu != nu_w(perm):
+                raise ValueError(f"precondition violation: {name}^diamond has a corrupted translation part at embedding {j}")
+    return partition_lemma_check(u_diamond.w.perms[0], w_diamond.w.perms[0], w_diamond.n)
+
+
 class TestDiamondWrapper:
     def test_valid_pair(self):
-        from alcalc.charts import partition_lemma_check_diamonds
-
         u = restricted_lift(PermTuple.of([(2, 0, 1)]))
         w = restricted_lift(PermTuple.of([(0, 2, 1)]))
         assert partition_lemma_check_diamonds(u, w)
 
     def test_corrupted_nu_is_precondition_violation(self):
-        from alcalc.charts import partition_lemma_check_diamonds
         from alcalc.weyl import ExtAffine
 
         u = restricted_lift(PermTuple.of([(2, 0, 1)]))
@@ -386,3 +398,138 @@ class TestZOracleN4:
                 ratios.add(F.mul(zi, F.inv(z.residue())))
                 used += 1
             assert len(ratios) == 1, f"Z not proportional to the oracle at pair {(w, u)}: {sorted(ratios)}"
+
+
+class TestZCache:
+    """`z_minus_alpha` reads Z_{-alpha} from a cache keyed by (shape, w, F)
+    and the top-variable names from a per-shape memo; every value must be
+    what a fresh build gives."""
+
+    @staticmethod
+    def cases(primes=(101, 103)):
+        # every n = 3, 4 special pair at two primes, each pair under two
+        # monodromy parameters that share (u, w) and differ only in a_vec
+        out = []
+        for q in primes:
+            for n in (3, 4):
+                for (w, u) in npairs(n):
+                    for step in (17, 23):
+                        a_vec = tuple(step * (n - i) + 1 for i in range(n))
+                        shape = ChartShape(n=n, p=q, kind="colength_one", u_perm=u, conj_perm=w, a_vec=a_vec)
+                        out.append((shape, w, field(q)))
+        return out
+
+    @staticmethod
+    def fresh(shape, w, F, cv):
+        Z = z_minus_alpha_poly(shape, w, GFAdapter(F))
+        out = Z.substitute({vvar(b, shape.degree_bound(b)): FElem(F, cv[b]) for b in cv})
+        return out.constant_value().a
+
+    def test_cached_matches_fresh_build(self):
+        from alcalc.charts import z_minus_alpha_gf
+
+        z_minus_alpha_gf.cache_clear()
+        rng = random.Random(11)
+        cases = self.cases()
+        moved = 0
+        for _ in range(3):
+            # consecutive cases differ only in a_vec; each point is
+            # evaluated under both, so a cache keyed on (u, w) fails
+            for k in range(0, len(cases), 2):
+                (s1, w, F), (s2, _, _) = cases[k], cases[k + 1]
+                cv = {b: rng.randrange(1, F.q) for b in negative_roots(s1.n)}
+                got = [z_minus_alpha(shape, w, cv, F) for shape in (s1, s2)]
+                assert got == [self.fresh(shape, w, F, cv) for shape in (s1, s2)]
+                moved += got[0] != got[1]
+        assert moved > len(cases) // 2
+
+    def test_non_generic_raises_every_call(self):
+        from alcalc.charts import z_minus_alpha_gf
+
+        p = 53
+        F = field(p)
+        shape = ChartShape(n=3, p=p, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=(1, 0, 0))
+        cv = {b: 1 for b in negative_roots(3)}
+        for _ in range(2):
+            with pytest.raises(GenericityError):
+                z_minus_alpha_gf(shape, (0, 2, 1), F)
+        for _ in range(2):
+            with pytest.raises(GenericityError):
+                z_minus_alpha(shape, (0, 2, 1), cv, F)
+
+    def test_cached_poly_not_mutated(self):
+        from alcalc.charts import z_minus_alpha_gf
+
+        shape, w, F = self.cases(primes=(101,))[-1]
+        Z = z_minus_alpha_gf(shape, w, F)
+        before = {m: c.a for m, c in Z.terms.items()}
+        rng = random.Random(4)
+        for _ in range(20):
+            cv = {b: rng.randrange(F.q) for b in negative_roots(shape.n)}
+            z_minus_alpha(shape, w, cv, F)
+        assert z_minus_alpha_gf(shape, w, F) is Z
+        assert {m: c.a for m, c in Z.terms.items()} == before
+
+    def test_verify_z_builds_each_config_once(self, monkeypatch, capsys):
+        import json
+
+        from alcalc import charts
+        from alcalc.cli import run
+
+        calls = []
+        build = charts.z_minus_alpha_poly
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(charts, "z_minus_alpha_poly", counting)
+        charts.z_minus_alpha_gf.cache_clear()
+        assert run(["verify", "z", "--trials", "50", "--seed", "3"]) == 0
+        configs = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["configs"]
+        assert configs == 3
+        assert 1 <= len(calls) <= configs
+
+    def test_thread_safe_on_cold_cache(self):
+        import dataclasses
+        import sys
+        import threading
+
+        from alcalc.charts import z_minus_alpha_gf
+
+        rng = random.Random(8)
+        points = [
+            (shape, w, F, {b: rng.randrange(1, F.q) for b in negative_roots(shape.n)})
+            for shape, w, F in self.cases()
+            for _ in range(3)
+        ]
+        serial = [self.fresh(shape, w, F, cv) for shape, w, F, cv in points]
+        errors = []
+
+        def work(order, shapes):
+            try:
+                for k in order:
+                    _, w, F, cv = points[k]
+                    got = z_minus_alpha(shapes[k], w, cv, F)
+                    if got != serial[k]:
+                        errors.append((k, got, serial[k]))
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                z_minus_alpha_gf.cache_clear()
+                # equal but new shape objects, so the top-variable memo is cold too
+                shapes = [dataclasses.replace(s) for s, _, _, _ in points]
+                orders = [random.Random(trial * 4 + t).sample(range(len(points)), len(points)) for t in range(4)]
+                threads = [threading.Thread(target=work, args=(o, shapes)) for o in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []

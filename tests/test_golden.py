@@ -24,6 +24,7 @@ CASES = {
     "verify_weyl.json": ["verify", "weyl", "--n", "3", "--trials", "20", "--seed", "1"],
     "verify_minors.json": ["verify", "minors", "--n", "5", "--trials", "20", "--seed", "1"],
     "verify_z.json": ["verify", "z", "--trials", "3", "--seed", "1"],
+    "verify_z_t1000.json": ["verify", "z", "--trials", "1000", "--seed", "7"],
     "verify_partition.json": ["verify", "partition"],
     "verify_nabla.json": ["verify", "nabla", "--trials", "12", "--seed", "1"],
     "verify_nabla_t40.json": ["verify", "nabla", "--trials", "40", "--seed", "7"],
