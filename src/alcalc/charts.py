@@ -104,64 +104,62 @@ def minor_matrix(a_values: dict, i: int, i0: int, k0: int):
     return out
 
 
-def det_int_matrix(M, F: GF):
-    n = len(M)
-    if n == 1:
-        return M[0][0] % F.q
+def det_int_matrix(M, F: GF) -> int:
+    """det(M) mod q by Gaussian elimination over F_q."""
+    q = F.q
+    A = [[x % q for x in row] for row in M]
+    det = 1
+    for c in range(len(A)):
+        piv = next((r for r in range(c, len(A)) if A[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            det = -det
+        det = det * A[c][c] % q
+        inv = pow(A[c][c], -1, q)
+        for r in range(c + 1, len(A)):
+            if A[r][c]:
+                f = A[r][c] * inv
+                A[r] = [(x - f * y) % q for x, y in zip(A[r], A[c])]
+    return det
 
-    def det(rows):
-        m = len(rows)
-        if m == 1:
-            return rows[0][0]
-        acc = 0
-        for k in range(m):
-            e = rows[0][k]
-            if e == 0:
-                continue
-            sub = [[rows[r][c] for c in range(m) if c != k] for r in range(1, m)]
-            term = F.mul(e, det(sub))
-            acc = F.add(acc, term if k % 2 == 0 else F.neg(term))
-        return acc
 
-    return det(M)
+def minor_identities(a_values: dict, i0: int, k0: int, F: GF) -> list[tuple]:
+    """(direct, recursive, path_form) evaluations of det(M_i) over F for
+    every i = 2..k0-i0, in that order.
 
-
-def minor_identities(a_values: dict, i: int, i0: int, k0: int, F: GF):
-    """(direct, recursive, path_form) evaluations of det(M_i) over F.
-
-    direct: brute-force determinant of the displayed matrix.
-    recursive: det(M_i) = a_{(k0-i+1) i0} det(M'_{i-1}) - det(M_{i-1}).
-    path_form (only for i = k0-i0): sum over P_{-alpha} of
+    direct: determinant of the displayed matrix, by elimination.
+    recursive: det(M_i) = a_{(k0-i+1) i0} det(M'_{i-1}) - det(M_{i-1}),
+    with det(M_{i-1}) the direct value of the previous index.
+    path_form (only for i = k0-i0, else None): sum over P_{-alpha} of
     (-1)^(k0-i0-s) a_{beta_1} ... a_{beta_s}.
     """
-    if not 2 <= i <= k0 - i0:
-        raise ValueError(f"minor index {i} out of range 2..{k0 - i0}")
-
-    def norm(v):
-        return F.from_int(v) if isinstance(v, int) else v
-
-    av = {k: norm(v) for k, v in a_values.items()}
-
-    def direct(ii):
-        if ii == 1:
-            return av[(k0, i0)]
-        return det_int_matrix(minor_matrix(av, ii, i0, k0), F)
+    if k0 - i0 < 2:
+        raise ValueError(f"no trailing minor of index 2..{k0 - i0}")
+    av = {k: F.from_int(v) if isinstance(v, int) else v for k, v in a_values.items()}
 
     def chain_sum(top, bottom, length):
         # sum over the chains from bottom up to top of (-1)^(length - s)
         # times the product of their a-values, s the number of legs
         acc = 0
         for ch in _chains(top, bottom):
-            term = 1
+            term = (-1) ** (length - len(ch))
             for bb in ch:
-                term = F.mul(term, av[bb])
-            acc = F.add(acc, term if (length - len(ch)) % 2 == 0 else F.neg(term))
-        return acc
+                term *= av[bb]
+            acc += term
+        return acc % F.q
 
-    # det(M'_{i-1}) for the trailing block is the chain sum of alpha_{k0, k0-i+1}
-    rec = F.sub(F.mul(av[(k0 - i + 1, i0)], chain_sum(k0, k0 - i + 1, i - 1)), direct(i - 1))
-    path = chain_sum(k0, i0, k0 - i0) if i == k0 - i0 else None
-    return direct(i), rec, path
+    out = []
+    prev = av[(k0, i0)]  # det(M_1)
+    for i in range(2, k0 - i0 + 1):
+        direct = det_int_matrix(minor_matrix(av, i, i0, k0), F)
+        # det(M'_{i-1}) for the trailing block is the chain sum of alpha_{k0, k0-i+1}
+        rec = (av[(k0 - i + 1, i0)] * chain_sum(k0, k0 - i + 1, i - 1) - prev) % F.q
+        path = chain_sum(k0, i0, k0 - i0) if i == k0 - i0 else None
+        out.append((direct, rec, path))
+        prev = direct
+    return out
 
 
 # -- Z_{-alpha} ----------------------------------------------------------------
@@ -258,14 +256,29 @@ def z_minus_alpha_gf(shape: ChartShape, w, F: GF) -> Poly:
     return z_minus_alpha_poly(shape, w, GFAdapter(F))
 
 
-def z_minus_alpha(shape: ChartShape, w, c_values: dict, F: GF):
+@lru_cache(maxsize=64)
+def z_minus_alpha_terms(shape: ChartShape, w, F: GF) -> tuple:
+    """Z_{-alpha} over F_p compiled to integer terms (coefficient,
+    ((beta, exponent), ...)), cached per (shape, w, F) like
+    z_minus_alpha_gf."""
+    beta_of = shape.tops({b: b for b in negative_roots(shape.n)}, lambda b: b)
+    terms = []
+    for mono, c in z_minus_alpha_gf(shape, w, F).terms.items():
+        if any(v not in beta_of for v, _ in mono):
+            raise ChartInvariantError("Z_{-alpha} has a variable that is not a top coefficient")
+        terms.append((c.a, tuple((beta_of[v], e) for v, e in mono)))
+    return tuple(terms)
+
+
+def z_minus_alpha(shape: ChartShape, w, c_values: dict, F: GF) -> int:
     """Evaluate Z_{-alpha} at concrete top coefficients (int-encoded field
     values keyed by negative root)."""
-    Z = z_minus_alpha_gf(shape, w, F)
-    out = Z.substitute(shape.tops(c_values, lambda v: FElem(F, v)))
-    if not out.is_constant():
-        raise ChartInvariantError("Z_{-alpha} is not constant after substituting every top coefficient")
-    return out.constant_value().a
+    acc = 0
+    for c, mono in z_minus_alpha_terms(shape, w, F):
+        for b, e in mono:
+            c *= c_values[b] ** e
+        acc += c
+    return acc % F.q
 
 
 # -- partition identities ----------------------------------------------------------

@@ -233,15 +233,16 @@ def cmd_verify_bruhat(cfg, report: Report):
 
 
 def cmd_verify_minors(cfg, report: Report):
-    n = max(3, min(cfg["n"], 5))
+    n = cfg["n"]
+    if not 3 <= n <= 5:
+        raise ConfigError(f"verify minors needs 3 <= n <= 5, got n = {n}")
     rng = random.Random(cfg["seed"])
     F = field(cfg["p"])
     i0, k0 = 0, n - 1
     bad = None
     for _ in range(cfg["trials"]):
         av = {b: rng.randrange(F.q) for b in weyl.negative_roots(n)}
-        for i in range(2, k0 - i0 + 1):
-            d, r, pth = charts.minor_identities(av, i, i0, k0, F)
+        for i, (d, r, pth) in enumerate(charts.minor_identities(av, i0, k0, F), 2):
             if d != r or (pth is not None and d != pth):
                 bad = {"a": {str(k): v for k, v in av.items()}, "i": i}
                 break

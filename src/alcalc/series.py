@@ -106,29 +106,25 @@ class Series:
 
     # -- arithmetic ----------------------------------------------------------
     def add(self, other: "Series") -> "Series":
-        F = self.F
         prec = min(self.prec, other.prec)
         if not self.coeffs:
-            return Series(F, other.val, other.coeffs[:], prec)
+            return Series(self.F, other.val, other.coeffs, prec)
         if not other.coeffs:
-            return Series(F, self.val, self.coeffs[:], prec)
+            return Series(self.F, self.val, self.coeffs, prec)
+        # sum raw ints and reduce each overlapping coefficient once; the
+        # constructor cuts the sum back to the precision window
         lo = min(self.val, other.val)
-        hi = min(prec, max(self.val + len(self.coeffs), other.val + len(other.coeffs)))
-        cs = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            d = self.val + i
-            if d < hi:
-                cs[d - lo] = c
-        add = F.add
-        for i, c in enumerate(other.coeffs):
-            d = other.val + i
-            if d < hi:
-                cs[d - lo] = add(cs[d - lo], c)
-        return Series(F, lo, cs, prec)
+        a = [0] * (self.val - lo) + self.coeffs
+        b = [0] * (other.val - lo) + other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        q = self.F.q
+        cs = [(x + y) % q for x, y in zip(a, b)]
+        return Series(self.F, lo, cs + a[len(b) :], prec)
 
     def neg(self) -> "Series":
-        F = self.F
-        return Series(F, self.val, [F.neg(c) for c in self.coeffs], self.prec)
+        q = self.F.q
+        return Series(self.F, self.val, [-c % q for c in self.coeffs], self.prec)
 
     def sub(self, other: "Series") -> "Series":
         return self.add(other.neg())
@@ -147,23 +143,28 @@ class Series:
         out_len = min(len(self.coeffs) + len(other.coeffs) - 1, prec - lo)
         if out_len <= 0:
             return Series.zero(F, prec)
-        # accumulate raw products and reduce each coefficient once
-        out = [0] * out_len
-        bs = other.coeffs
-        for i, a in enumerate(self.coeffs[:out_len]):
-            if a == 0:
-                continue
-            for j, b in enumerate(bs[: out_len - i], i):
-                if b:
-                    out[j] += a * b
+        # Kronecker substitution: pack each operand into one int with slots
+        # wide enough that no coefficient of the product (a sum of at most
+        # min(len) products of residues in 0..q-1) carries into the next,
+        # take one big-int product and unpack it
+        a, b = self.coeffs[:out_len], other.coeffs[:out_len]
         q = F.q
-        return Series(F, lo, [c % q for c in out], prec)
+        w = 2 * (q - 1).bit_length() + min(len(a), len(b)).bit_length()
+        pa = pb = 0
+        for c in reversed(a):
+            pa = pa << w | c
+        for c in reversed(b):
+            pb = pb << w | c
+        prod = pa * pb
+        mask = (1 << w) - 1
+        return Series(F, lo, [(prod >> s & mask) % q for s in range(0, w * out_len, w)], prec)
 
     def scale(self, c: int) -> "Series":
         F = self.F
         if c == 0:
             return Series.zero(F, self.prec + self.val if not self.coeffs else self.prec)
-        return Series(F, self.val, [F.mul(c, a) for a in self.coeffs], self.prec)
+        q = F.q
+        return Series(F, self.val, [c * a % q for a in self.coeffs], self.prec)
 
     def shift(self, d: int) -> "Series":
         """Multiply by v^d."""

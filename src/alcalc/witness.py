@@ -320,7 +320,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     def _open_checks(pt: ChartPoint) -> tuple[list, bool]:
         # unit trailing minors and a unit a_{-alpha} at the point
         a_mod = {b: pt.a_values[b] or 0 for b in roots}
-        minors_unit = [minor_identities(a_mod, i, i0, k0, F)[0] != 0 for i in range(2, k0 - i0 + 1)]
+        minors_unit = [d != 0 for d, _, _ in minor_identities(a_mod, i0, k0, F)]
         return minors_unit, a_mod[malpha_root] != 0
 
     prec = default_precision(n, n + 2)

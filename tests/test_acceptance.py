@@ -159,8 +159,7 @@ def test_criterion_06_minor_identities():
     while trials < 1000:
         n = rng.choice([3, 4, 5])
         av = {b: rng.randrange(F.q) for b in negative_roots(n)}
-        for i in range(2, n):
-            d, r, pth = minor_identities(av, i, 0, n - 1, F)
+        for i, (d, r, pth) in enumerate(minor_identities(av, 0, n - 1, F), 2):
             assert d == r, f"direct != recursion at n={n}, i={i}"
             if pth is not None:
                 assert d == pth, f"direct != path form at n={n}"

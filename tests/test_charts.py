@@ -5,12 +5,15 @@ import random
 import pytest
 
 from alcalc.charts import (
+    ChartInvariantError,
     DegreeBoundError,
     GenericityError,
     PathSetError,
     build_vc_matrix,
+    det_int_matrix,
     kappa_sigma,
     minor_identities,
+    minor_matrix,
     partition_lemma_check,
     path_sets,
     z_minus_alpha,
@@ -19,7 +22,7 @@ from alcalc.charts import (
 from alcalc.chartsolve import ChartShape, vvar
 from alcalc.gf import FElem, field
 from alcalc.loopmat import affine_bruhat_decompose, default_precision, nabla_check
-from alcalc.mpoly import GFAdapter
+from alcalc.mpoly import GFAdapter, Poly
 from alcalc.pval import PVal
 from alcalc.serre import build_setup
 from alcalc.weyl import (
@@ -93,17 +96,65 @@ class TestPathSets:
             path_sets((0, 2), (0, 1, 2))
 
 
+def laplace_det(M, F):
+    """det(M) mod q by cofactor expansion along the first row: the former
+    `charts.det_int_matrix`, kept as the elimination-free oracle."""
+    n = len(M)
+    if n == 1:
+        return M[0][0] % F.q
+
+    def det(rows):
+        m = len(rows)
+        if m == 1:
+            return rows[0][0]
+        acc = 0
+        for k in range(m):
+            e = rows[0][k]
+            if e == 0:
+                continue
+            sub = [[rows[r][c] for c in range(m) if c != k] for r in range(1, m)]
+            term = F.mul(e, det(sub))
+            acc = F.add(acc, term if k % 2 == 0 else F.neg(term))
+        return acc
+
+    return det(M)
+
+
+class TestDetIntMatrix:
+    @pytest.mark.parametrize("q", [2, 5, 101])
+    def test_matches_laplace(self, q):
+        F = field(q)
+        rng = random.Random(q)
+        swaps = singular = 0
+        for n in range(1, 6):
+            for _ in range(60):
+                M = [[rng.randrange(-2 * q, 2 * q) for _ in range(n)] for _ in range(n)]
+                kind = rng.randrange(3)
+                if kind == 1 and n > 1:
+                    # a leading zero pivot forces a row swap
+                    M[0][0] = q * rng.randrange(-1, 2)
+                elif kind == 2 and n > 1:
+                    # a row that is a combination of two others, or a zero row
+                    r, s, t = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+                    M[r] = [rng.randrange(q) * x + rng.randrange(q) * y for x, y in zip(M[s], M[t])]
+                swaps += n > 1 and M[0][0] % q == 0 and any(row[0] % q for row in M[1:])
+                want = laplace_det(M, F)
+                singular += want == 0
+                assert det_int_matrix(M, F) == want
+        assert swaps > 0 and singular > 0
+
+
 class TestMinorIdentities:
     def test_gl3_oracle(self):
         F = field(101)
         av = {(1, 0): 5, (2, 0): 7, (2, 1): 11}
-        d, r, pth = minor_identities(av, 2, 0, 2, F)
+        [(d, r, pth)] = minor_identities(av, 0, 2, F)
         assert d == r == pth == (5 * 11 - 7) % 101
 
     def test_all_zero(self):
         F = field(101)
         av = {b: 0 for b in negative_roots(3)}
-        assert minor_identities(av, 2, 0, 2, F) == (0, 0, 0)
+        assert minor_identities(av, 0, 2, F) == [(0, 0, 0)]
 
     def test_random_triple_agreement(self):
         rng = random.Random(0)
@@ -112,16 +163,19 @@ class TestMinorIdentities:
             for n in (4, 5):
                 for _ in range(250):
                     av = {b: rng.randrange(q) for b in negative_roots(n)}
-                    for i in range(2, n):
-                        d, r, pth = minor_identities(av, i, 0, n - 1, F)
+                    triples = minor_identities(av, 0, n - 1, F)
+                    assert len(triples) == n - 2
+                    for i, (d, r, pth) in enumerate(triples, 2):
                         assert d == r
+                        assert d == laplace_det(minor_matrix(av, i, 0, n - 1), F)
                         if pth is not None:
                             assert d == pth
+                        assert (pth is None) == (i < n - 1)
 
     def test_index_range(self):
         F = field(5)
         with pytest.raises(ValueError):
-            minor_identities({b: 0 for b in negative_roots(3)}, 3, 0, 2, F)
+            minor_identities({b: 0 for b in negative_roots(3)}, 0, 1, F)
 
 
 class TestZ:
@@ -426,9 +480,10 @@ class TestZCache:
         return out.constant_value().a
 
     def test_cached_matches_fresh_build(self):
-        from alcalc.charts import z_minus_alpha_gf
+        from alcalc.charts import z_minus_alpha_gf, z_minus_alpha_terms
 
         z_minus_alpha_gf.cache_clear()
+        z_minus_alpha_terms.cache_clear()
         rng = random.Random(11)
         cases = self.cases()
         moved = 0
@@ -470,6 +525,26 @@ class TestZCache:
         assert z_minus_alpha_gf(shape, w, F) is Z
         assert {m: c.a for m, c in Z.terms.items()} == before
 
+    def test_variable_outside_tops_raises(self, monkeypatch):
+        from alcalc import charts
+
+        shape, w, F = self.cases(primes=(101,))[0]
+        K = GFAdapter(F)
+        beta = negative_roots(shape.n)[0]
+        below_top = Poly.var(K, vvar(beta, shape.degree_bound(beta) - 1))
+        stray = z_minus_alpha_poly(shape, w, K) + below_top
+        cv = {b: 1 for b in negative_roots(shape.n)}
+        monkeypatch.setattr(charts, "z_minus_alpha_poly", lambda *args: stray)
+        try:
+            for _ in range(2):
+                charts.z_minus_alpha_gf.cache_clear()
+                charts.z_minus_alpha_terms.cache_clear()
+                with pytest.raises(ChartInvariantError):
+                    z_minus_alpha(shape, w, cv, F)
+        finally:
+            charts.z_minus_alpha_gf.cache_clear()
+            charts.z_minus_alpha_terms.cache_clear()
+
     def test_verify_z_builds_each_config_once(self, monkeypatch, capsys):
         import json
 
@@ -485,6 +560,7 @@ class TestZCache:
 
         monkeypatch.setattr(charts, "z_minus_alpha_poly", counting)
         charts.z_minus_alpha_gf.cache_clear()
+        charts.z_minus_alpha_terms.cache_clear()
         assert run(["verify", "z", "--trials", "50", "--seed", "3"]) == 0
         configs = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["configs"]
         assert configs == 3
@@ -495,7 +571,7 @@ class TestZCache:
         import sys
         import threading
 
-        from alcalc.charts import z_minus_alpha_gf
+        from alcalc.charts import z_minus_alpha_gf, z_minus_alpha_terms
 
         rng = random.Random(8)
         points = [
@@ -521,6 +597,7 @@ class TestZCache:
         try:
             for trial in range(3):
                 z_minus_alpha_gf.cache_clear()
+                z_minus_alpha_terms.cache_clear()
                 # equal but new shape objects, so the top-variable memo is cold too
                 shapes = [dataclasses.replace(s) for s, _, _, _ in points]
                 orders = [random.Random(trial * 4 + t).sample(range(len(points)), len(points)) for t in range(4)]

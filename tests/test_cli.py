@@ -39,6 +39,15 @@ class TestExitCodes:
         assert captured.err == "error: count must be positive\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("n", ["2", "6", "9"])
+    def test_minors_n_out_of_range_is_one_with_message(self, capsys, n):
+        # verify minors covers 3 <= n <= 5; any other n is refused, not
+        # clamped to a size the report would not name
+        assert run(["verify", "minors", "--n", n, "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify minors needs 3 <= n <= 5, got n = {n}\n"
+
     def test_unknown_subcommand_is_one(self, capsys):
         assert run(["verify", "frobnicate"]) == 1
 

@@ -120,22 +120,31 @@ class TestSeries:
         p = a.mul(b)
         assert p.coeff(-1) == 2 and p.coeff(0) == 3
 
+    @staticmethod
+    def random_series(F, rng):
+        """Short, long (beyond the precision 144 of an n = 4 loop matrix)
+        and zero-to-precision operands, with sparse windows."""
+        q = F.q
+        val = rng.randrange(-3, 4)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Series.zero(F, val + rng.randrange(0, 200))
+        size = rng.randrange(150, 200) if kind == 1 else rng.randrange(9)
+        cs = [rng.randrange(1, q)] + [rng.choice([0, rng.randrange(q), q - 1]) for _ in range(size)]
+        return Series(F, val, cs, val + rng.randrange(len(cs), len(cs) + 6))
+
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 53, 521, 1000003])
     def test_mul_matches_naive_convolution(self, q):
         F = field(q)
         rng = random.Random(q)
-
-        def rand():
-            val = rng.randrange(-3, 4)
-            cs = [rng.randrange(1, q)] + [rng.choice([0, rng.randrange(q)]) for _ in range(rng.randrange(8))]
-            return Series(F, val, cs, val + rng.randrange(len(cs), len(cs) + 6))
-
-        cut = 0
-        for _ in range(40):
-            a, b = rand(), rand()
+        cut = long = zeros = 0
+        for _ in range(80):
+            a, b = self.random_series(F, rng), self.random_series(F, rng)
             prec = min(a.prec + b.val, b.prec + a.val)
             # truncation drops product terms when the known window is short
             cut += prec - (a.val + b.val) < len(a.coeffs) + len(b.coeffs) - 1
+            long += min(len(a.coeffs), len(b.coeffs)) >= 150
+            zeros += a.is_zero() or b.is_zero()
             conv = {}
             for i, x in enumerate(a.coeffs):
                 for j, y in enumerate(b.coeffs):
@@ -144,7 +153,25 @@ class TestSeries:
                         conv[d] = (conv.get(d, 0) + x * y) % q
             got, want = a.mul(b), Series.from_coeffs(F, conv, prec)
             assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
-        assert cut > 0
+        assert cut > 0 and long > 0 and zeros > 0
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 53, 521, 1000003])
+    def test_add_matches_dict_sum(self, q):
+        F = field(q)
+        rng = random.Random(q + 1)
+        for _ in range(80):
+            a, b = self.random_series(F, rng), self.random_series(F, rng)
+            prec = min(a.prec, b.prec)
+            total = {}
+            for s in (a, b):
+                for i, x in enumerate(s.coeffs):
+                    if s.val + i < prec:
+                        total[s.val + i] = (total.get(s.val + i, 0) + x) % q
+            for got in (a.add(b), b.add(a)):
+                want = Series.from_coeffs(F, total, prec)
+                assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+            diff = a.sub(b)
+            assert all(diff.coeff(d) == (a.coeff(d) - b.coeff(d)) % q for d in range(min(a.val, b.val) - 1, prec))
 
     def test_unit_inverse_precision(self):
         F = field(5)
