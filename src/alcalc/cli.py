@@ -88,6 +88,15 @@ def _validate(cfg):
         raise ConfigError("count must be positive")
 
 
+def _n_within(cfg, command: str, lo: int, hi: int) -> int:
+    """cfg["n"] for a subcommand that covers lo <= n <= hi only; any other
+    n is refused rather than clamped to a size the report would not name."""
+    n = cfg["n"]
+    if not lo <= n <= hi:
+        raise ConfigError(f"{command} needs {lo} <= n <= {hi}, got n = {n}")
+    return n
+
+
 def _deep_omega(n: int, f: int, p: int) -> Weight:
     g = p // (n + 1)
     row = tuple(g * (n - 1 - i) for i in range(n))
@@ -165,7 +174,7 @@ def cmd_setup_build(cfg, report: Report):
 
 
 def cmd_verify_weyl(cfg, report: Report):
-    n = min(cfg["n"], 4)
+    n = _n_within(cfg, "verify weyl", 2, 4)
     rng = random.Random(cfg["seed"])
     lam = Weight.eta(n, 1).scale(2)
     adm = weyl.admissible_set(lam)
@@ -208,7 +217,7 @@ def cmd_verify_weyl(cfg, report: Report):
 
 
 def cmd_verify_bruhat(cfg, report: Report):
-    n = min(cfg["n"], 4)
+    n = _n_within(cfg, "verify bruhat", 2, 4)
     rng = random.Random(cfg["seed"])
     gens = weyl.affine_simple_reflections(n)
     bad = None
@@ -233,9 +242,7 @@ def cmd_verify_bruhat(cfg, report: Report):
 
 
 def cmd_verify_minors(cfg, report: Report):
-    n = cfg["n"]
-    if not 3 <= n <= 5:
-        raise ConfigError(f"verify minors needs 3 <= n <= 5, got n = {n}")
+    n = _n_within(cfg, "verify minors", 3, 5)
     rng = random.Random(cfg["seed"])
     F = field(cfg["p"])
     i0, k0 = 0, n - 1

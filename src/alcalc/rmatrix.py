@@ -35,18 +35,6 @@ class VPoly:
     def const(p: int, c: PVal) -> "VPoly":
         return VPoly(p, [c])
 
-    @staticmethod
-    def of_ints(p: int, ints: list[int]) -> "VPoly":
-        return VPoly(p, [PVal.of(m, p) for m in ints])
-
-    @staticmethod
-    def v_plus_p_power(p: int, e: int) -> "VPoly":
-        out = VPoly(p, [PVal.one(p)])
-        vp = VPoly(p, [PVal.of(p, p), PVal.one(p)])
-        for _ in range(e):
-            out = out.mul(vp)
-        return out
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

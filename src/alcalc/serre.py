@@ -1,9 +1,8 @@
 """
-Serre weights by lowest alcove presentations, tame inertial types and
-presentation changes, special-alcove classification, the paired-weight
-setup data feeding the chart calculus, Levi restriction data, the
-explicit GL_2 (f=2) weight-cycling constituents, and principal-series
-parameters from Hecke characters.
+Serre weights by lowest alcove presentations, tame inertial types,
+special-alcove classification, the paired-weight setup data feeding the
+chart calculus, the explicit GL_2 (f=2) weight-cycling constituents, and
+principal-series parameters from Hecke characters.
 
 A Serre weight of GL_n(k) is classified by a p-restricted highest weight
 lambda in X_1^*(T)^J up to the twist lattice (p - pi)X^0(T)^J, where pi
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .mpoly import Poly, PValAdapter, solve_equations
 from .pval import PVal
 from .weyl import (
     Colength,
@@ -44,7 +42,6 @@ from .weyl import (
     perm_mul,
     pi_twist,
     positive_roots,
-    restricted_lift,
     restricted_lift_perm,
     root_vec,
     simple_roots,
@@ -226,96 +223,7 @@ def depth_violation(obj, m: int):
     return None
 
 
-def change_presentation(tp: TameTypePresentation, x: ExtAffine) -> TameTypePresentation:
-    """(s', mu') = x . (s, mu) = (w s pi(w)^{-1}, x . mu - w s pi(w)^{-1} pi(x)(0)),
-    the dot action taken componentwise with the prime p of tp."""
-    if (x.n, x.f) != (tp.n, tp.f):
-        raise DimensionMismatchError("presentation change shape mismatch")
-    f = tp.f
-    p = tp.p
-    eta = eta_weight(tp.n)
-    s_rows = []
-    mu_rows = []
-    for j in range(f):
-        nu_j, w_j = x.component(j)
-        w_j1 = x.w.perms[(j + 1) % f]
-        nu_j1 = x.nu.rows[(j + 1) % f]
-        s_new = perm_mul(perm_mul(w_j, tp.s.perms[j]), perm_inv(w_j1))
-        dot = tuple(
-            p * nu_j[i] + perm_act_vec(w_j, tuple(a + e for a, e in zip(tp.mu.rows[j], eta)))[i] - eta[i]
-            for i in range(tp.n)
-        )
-        corr = perm_act_vec(s_new, nu_j1)
-        s_rows.append(s_new)
-        mu_rows.append(tuple(d - c for d, c in zip(dot, corr)))
-    return TameTypePresentation(PermTuple.of(s_rows), Weight.of(mu_rows), p)
-
-
-def tame_type_eq(t1: TameTypePresentation, t2: TameTypePresentation):
-    """Decide whether t2 = x . t1 for some twist x, solving the finite
-    part embedding-by-embedding and the translation part as an exact
-    linear system.  Returns the twist x (an ExtAffine) or None.
-
-    Equality is defined by chains of presentation moves of length at most
-    l(t_{2 eta}); since such moves generate the full twist group, chains
-    reduce to a single composite move, which is what is solved for."""
-    if t1.p != t2.p or (t1.n, t1.f) != (t2.n, t2.f):
-        return None
-    n, f, p = t1.n, t1.f, t1.p
-    eta = eta_weight(n)
-    for w0 in all_perms(n):
-        ws = [w0]
-        ok = True
-        for j in range(f):
-            # s'_j = w_j s_j w_{j+1}^{-1}  =>  w_{j+1} = s'_j^{-1} w_j s_j
-            wn = perm_mul(perm_inv(t2.s.perms[j]), perm_mul(ws[j], t1.s.perms[j]))
-            if j == f - 1:
-                if wn != w0:
-                    ok = False
-                break
-            ws.append(wn)
-        if not ok:
-            continue
-        # translation part: p*nu_j - S'_j(nu_{j+1}) = mu'_j + eta - w_j(mu_j + eta)
-        rhs = []
-        for j in range(f):
-            target = tuple(
-                t2.mu.rows[j][i]
-                + eta[i]
-                - perm_act_vec(ws[j], tuple(a + e for a, e in zip(t1.mu.rows[j], eta)))[i]
-                for i in range(n)
-            )
-            rhs.append(target)
-        # solve the cyclic linear system over Q; p*I - (a permutation
-        # matrix) is never singular, so every nu_{j,i} is determined
-        K = PValAdapter(p)
-        equations = []
-        for j in range(f):
-            sp = perm_mul(perm_mul(ws[j], t1.s.perms[j]), perm_inv(ws[(j + 1) % f]))
-            for i in range(n):
-                # (S' nu_{j+1})_i = nu_{j+1}[ sp^{-1}(i) ]
-                nu_next = Poly.var(K, ((j + 1) % f, perm_inv(sp)[i]))
-                equations.append(Poly.var(K, (j, i)).scale(K.from_int(p)) - nu_next - Poly.const(K, K.from_int(rhs[j][i])))
-        sol = solve_equations(K, equations)
-        if any(sol[(j, i)].a.denominator != 1 for j in range(f) for i in range(n)):
-            continue
-        nu_rows = [tuple(int(sol[(j, i)].a) for i in range(n)) for j in range(f)]
-        x = ExtAffine(Weight.of(nu_rows), PermTuple.of(ws))
-        if change_presentation(t1, x).to_json() == t2.to_json():
-            return x
-    return None
-
-
 # -- special alcoves ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpecialityCertificate:
-    j0: int
-    i0: int
-    k0: int
-    u_diamond: ExtAffine
-    case: str  # "A" or "B"
 
 
 def _nu_mod_x0_eq(nu1, nu2, shift=None) -> bool:
@@ -382,28 +290,6 @@ def _special_partner(w: tuple[int, ...]):
     if aff_length(wd) == aff_length(ud) + 1 and up_arrow_step_aff(ud, wd):
         return u
     return None
-
-
-def is_special(w_diamond: ExtAffine):
-    """Certificate that the restricted element is special, or None: the
-    first embedding j0 at which the one-embedding test passes."""
-    if not is_restricted(w_diamond):
-        raise ValueError("specialness is defined for restricted elements")
-    n, f = w_diamond.n, w_diamond.f
-    i0, k0 = 0, n - 1
-    for j0 in range(f):
-        uj = _special_partner(w_diamond.w.perms[j0])
-        if uj is None:
-            continue
-        u = PermTuple.of([uj if j == j0 else w_diamond.w.perms[j] for j in range(f)])
-        case = classify_case(w_diamond.w, u, j0, i0, k0)
-        return SpecialityCertificate(j0, i0, k0, restricted_lift(u), case)
-    return None
-
-
-def special_perms(n: int) -> list[tuple[int, ...]]:
-    """All w in W (f = 1) with w^diamond special, by the direct test."""
-    return sorted(w for w in all_perms(n) if _special_partner(w) is not None)
 
 
 def special_pairs(n: int, f: int) -> list[tuple[PermTuple, PermTuple, int]]:
@@ -630,22 +516,6 @@ def build_setup(w_diamond: ExtAffine, u_diamond: ExtAffine, omega: Weight, p: in
         shape,
         shape_prime,
     )
-
-
-# -- Levi restriction data -------------------------------------------------------------
-
-
-def levi_restriction(sigma_lam: Weight, i: int, p: int):
-    """The finite datum of the i-th weight-cycling step: the standard Levi
-    of the parabolic attached to the antidominant fundamental cocharacter
-    -omega_i has blocks (i, n-i), and the restricted highest weight is
-    lambda itself."""
-    n = sigma_lam.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"fundamental cocharacter index must be in [1, {n-1}]")
-    if not is_p_restricted(sigma_lam, p):
-        raise ValueError("lambda must be p-restricted")
-    return (i, n - i), sigma_lam
 
 
 # -- GL_2, f = 2 weight cycling data ----------------------------------------------------

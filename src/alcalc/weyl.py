@@ -26,7 +26,6 @@ import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 Perm = tuple[int, ...]
@@ -65,10 +64,6 @@ def perm_act_vec(w: Perm, x: Vec) -> Vec:
     for i, wi in enumerate(w):
         out[wi] = x[i]
     return tuple(out)
-
-
-def perm_w0(n: int) -> Perm:
-    return tuple(range(n - 1, -1, -1))
 
 
 def transposition(n: int, i: int, k: int) -> Perm:
@@ -194,10 +189,6 @@ def aff_length(x: Aff) -> int:
 
 def aff_is_restricted(x: Aff) -> bool:
     return all(aff_m(x, a) == 0 for a in simple_roots(len(x[0])))
-
-
-def aff_is_regular(x: Aff) -> bool:
-    return all(aff_m(x, a) != 0 for a in simple_roots(len(x[0])))
 
 
 def aff_omega_degree(x: Aff) -> int:
@@ -393,10 +384,6 @@ def lower_interval_wa(y: Aff) -> set[Aff]:
 # -- up-arrow order on alcoves ----------------------------------------------------
 
 
-def base_alcove_point(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n - 1 - i, n) for i in range(n))
-
-
 def _reflect_up(x: Aff, root: tuple[int, int], m: int) -> Aff:
     """s_{alpha,m} x (left action on alcoves)."""
     n = len(x[0])
@@ -433,7 +420,10 @@ def up_arrow_leq_aff(a: Aff, b: Aff, slack: int = 2) -> bool:
     """a up-arrow b as alcoves: reflexive-transitive closure of the
     covering move A -> s_{alpha,m} A for A on the side <x,alpha^vee> < m,
     searched inside a bounding box around the two profiles (slack extra
-    layers per root direction)."""
+    layers per root direction).
+
+    No report calls it: it is the oracle of up_arrow_step_aff in the
+    specialness tests, and the benchmark keeps its call count and time."""
     n = len(a[0])
     pos = positive_roots(n)
     pa, pb = aff_profile_key(a), aff_profile_key(b)
@@ -610,17 +600,6 @@ class Colength(Enum):
     DEEPER = "deeper"
 
 
-@dataclass(frozen=True)
-class AlcoveProfile:
-    """m-values per (embedding, positive root) plus restricted/regular flags."""
-
-    n: int
-    f: int
-    m: dict[tuple[int, tuple[int, int]], int]
-    restricted: tuple[bool, ...]
-    regular: tuple[bool, ...]
-
-
 # -- spec operations on the f-tuple types -----------------------------------------
 
 
@@ -646,34 +625,8 @@ def pi_twist(x: ExtAffine, k: int = 1) -> ExtAffine:
     return ExtAffine.from_components([comps[(j + k) % f] for j in range(f)])
 
 
-def alcove_profile(x: ExtAffine) -> AlcoveProfile:
-    n, f = x.n, x.f
-    m = {}
-    restricted = []
-    regular = []
-    for j in range(f):
-        a = x.component(j)
-        for r in positive_roots(n):
-            m[(j, r)] = aff_m(a, r)
-        restricted.append(aff_is_restricted(a))
-        regular.append(aff_is_regular(a))
-    return AlcoveProfile(n, f, m, tuple(restricted), tuple(regular))
-
-
 def length(x: ExtAffine) -> int:
     return sum(aff_length(a) for a in x.components())
-
-
-def bruhat_leq(x: ExtAffine, y: ExtAffine) -> bool:
-    if (x.n, x.f) != (y.n, y.f):
-        raise DimensionMismatchError("comparing elements of different shapes")
-    return all(bruhat_leq_aff(a, b) for a, b in zip(x.components(), y.components()))
-
-
-def up_arrow_leq(a: ExtAffine, b: ExtAffine) -> bool:
-    if (a.n, a.f) != (b.n, b.f):
-        raise DimensionMismatchError("comparing elements of different shapes")
-    return all(up_arrow_leq_aff(x, y) for x, y in zip(a.components(), b.components()))
 
 
 def dot_action(x: ExtAffine, lam: Weight, p: int) -> Weight:
@@ -719,27 +672,6 @@ def admissible_set(lam: Weight) -> list[ExtAffine]:
     out = [ExtAffine.from_components(list(combo)) for combo in itertools.product(*per_embedding)]
     out.sort(key=lambda x: (length(x), x.nu.rows, x.w.perms))
     return out
-
-
-def admissible_contains(lam: Weight, x: ExtAffine) -> bool:
-    if (x.n, x.f) != (lam.n, lam.f):
-        raise DimensionMismatchError("shape mismatch")
-    for j in range(x.f):
-        row = lam.rows[j]
-        a = x.component(j)
-        if not any(bruhat_leq_aff(a, aff_translation(perm_act_vec(w, row))) for w in all_perms(x.n)):
-            return False
-    return True
-
-
-def admissible_set_dual(lam: Weight) -> list[ExtAffine]:
-    """Adm^vee(lam): the image of the admissible set under the star map."""
-    return [star(x) for x in admissible_set(lam)]
-
-
-def admissible_set_regular(lam: Weight) -> list[ExtAffine]:
-    """The regular members of Adm(lam) (no alcove touching a 0-wall)."""
-    return [x for x in admissible_set(lam) if all(alcove_profile(x).regular)]
 
 
 def classify_colength_component(a: Aff, lam_row: Vec) -> Colength:

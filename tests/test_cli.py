@@ -39,14 +39,17 @@ class TestExitCodes:
         assert captured.err == "error: count must be positive\n"
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("n", ["2", "6", "9"])
-    def test_minors_n_out_of_range_is_one_with_message(self, capsys, n):
-        # verify minors covers 3 <= n <= 5; any other n is refused, not
-        # clamped to a size the report would not name
-        assert run(["verify", "minors", "--n", n, "--trials", "5"]) == 1
+    @pytest.mark.parametrize(
+        "action, n", [("minors", "2"), ("minors", "6"), ("minors", "9"), ("weyl", "5"), ("weyl", "9"), ("bruhat", "5"), ("bruhat", "9")]
+    )
+    def test_n_out_of_range_is_one_with_message(self, capsys, action, n):
+        # a verify subcommand with an n range refuses any other n instead of
+        # clamping it to a size the report would not name
+        bounds = {"minors": "3 <= n <= 5", "weyl": "2 <= n <= 4", "bruhat": "2 <= n <= 4"}[action]
+        assert run(["verify", action, "--n", n, "--trials", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: verify minors needs 3 <= n <= 5, got n = {n}\n"
+        assert captured.err == f"error: verify {action} needs {bounds}, got n = {n}\n"
 
     def test_unknown_subcommand_is_one(self, capsys):
         assert run(["verify", "frobnicate"]) == 1

@@ -8,6 +8,19 @@ from alcalc.pval import PVal
 from alcalc.rmatrix import PMatrix, VPoly, nabla_certify
 
 
+def of_ints(p, ints):
+    """The v-polynomial with integer coefficients ints (index = degree)."""
+    return VPoly(p, [PVal.of(m, p) for m in ints])
+
+
+def v_plus_p_power(p, e):
+    """(v + p)^e."""
+    out = of_ints(p, [1])
+    for _ in range(e):
+        out = out.mul(of_ints(p, [p, 1]))
+    return out
+
+
 class TestPVal:
     def test_valuations(self):
         p = 53
@@ -42,19 +55,19 @@ class TestPVal:
 class TestVPoly:
     def test_divide_v_plus_p(self):
         p = 53
-        f = VPoly.v_plus_p_power(p, 2).mul(VPoly.of_ints(p, [1, 2]))
+        f = v_plus_p_power(p, 2).mul(of_ints(p, [1, 2]))
         q, r = f.divide_v_plus_p()
         assert r.is_zero()
         q2, r2 = q.divide_v_plus_p()
         assert r2.is_zero()
         assert [c.a for c in q2.coeffs] == [1, 2]
-        g = f.add(VPoly.of_ints(p, [9]))
+        g = f.add(of_ints(p, [9]))
         _, r3 = g.divide_v_plus_p()
         assert r3.a == 9
 
     def test_derivative_and_eval(self):
         p = 53
-        f = VPoly.of_ints(p, [1, 2, 3])
+        f = of_ints(p, [1, 2, 3])
         assert [c.a for c in f.derivative().coeffs] == [2, 6]
         assert f.eval0().a == 1
 
@@ -67,7 +80,7 @@ class TestNablaCertify:
         A = PMatrix(
             p,
             [
-                [VPoly.v_plus_p_power(p, eta[i]) if i == k else VPoly.zero(p) for k in range(n)]
+                [v_plus_p_power(p, eta[i]) if i == k else VPoly.zero(p) for k in range(n)]
                 for i in range(n)
             ],
         )
@@ -86,8 +99,8 @@ class TestNablaCertify:
         A = PMatrix(
             p,
             [
-                [VPoly.v_plus_p_power(p, 1), VPoly.zero(p)],
-                [VPoly.of_ints(p, [1]), VPoly.of_ints(p, [1])],
+                [v_plus_p_power(p, 1), VPoly.zero(p)],
+                [of_ints(p, [1]), of_ints(p, [1])],
             ],
         )
         rep = nabla_certify(A, (7, 30), det_vp_order=1)

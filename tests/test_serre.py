@@ -15,15 +15,12 @@ from alcalc.serre import (
     NonOrdinaryError,
     PresentationError,
     SerreWeightLAP,
-    TameTypePresentation,
+    _special_partner,
     build_setup,
-    change_presentation,
     classify_case,
     depth_genericity,
     enumerate_special,
     gl2_f2_jh,
-    is_special,
-    levi_restriction,
     lowest_alcove_presentation,
     normalize_to_case_a,
     presentation_to_weight,
@@ -31,8 +28,6 @@ from alcalc.serre import (
     serre_canonical,
     serre_eq,
     special_pairs,
-    special_perms,
-    tame_type_eq,
 )
 from alcalc.weyl import (
     Colength,
@@ -41,12 +36,9 @@ from alcalc.weyl import (
     Weight,
     aff_length,
     all_perms,
-    compose,
-    inverse,
     length,
     perm_inv,
     perm_mul,
-    pi_twist,
     restricted_lift,
     restricted_lift_perm,
     transposition,
@@ -147,103 +139,9 @@ class TestDepth:
         assert not depth_genericity(lap, p // 2 + 1)
 
 
-class TestChangePresentation:
-    def test_identity(self):
-        tp = TameTypePresentation(PermTuple.of([(1, 0)]), Weight.of([(3, 1)]), 7)
-        out = change_presentation(tp, ExtAffine.identity(2, 1))
-        assert out.to_json() == tp.to_json()
-
-    def test_gl2_displayed_formula(self):
-        # independent evaluation of both components, f = 1
-        p = 7
-        s, mu = (0, 1), (3, 1)
-        tp = TameTypePresentation(PermTuple.of([s]), Weight.of([mu]), p)
-        x = ExtAffine(Weight.of([(1, 0)]), PermTuple.of([(1, 0)]))
-        out = change_presentation(tp, x)
-        # s' = w s pi(w)^{-1} = w s w^{-1}; mu' = x . mu - s'(nu)
-        w = (1, 0)
-        s_new = perm_mul(perm_mul(w, s), perm_inv(w))
-        eta = (1, 0)
-        dot = tuple(
-            p * nu_i + m - e
-            for nu_i, m, e in zip((1, 0), (mu[w.index(0)] + eta[w.index(0)], mu[w.index(1)] + eta[w.index(1)]), eta)
-        )
-        # w(mu+eta) has entry (mu+eta)_{w^{-1}(i)} at position i
-        mue = (mu[0] + eta[0], mu[1] + eta[1])
-        dot = tuple(p * nu_i + mue[perm_inv(w)[i]] - eta[i] for i, nu_i in enumerate((1, 0)))
-        corr = tuple((1, 0)[perm_inv(s_new)[i]] for i in range(2))
-        mu_exp = tuple(d - c for d, c in zip(dot, corr))
-        assert out.s.perms[0] == s_new
-        assert out.mu.rows[0] == mu_exp
-
-    def test_round_trip(self):
-        rng = random.Random(1)
-        p = 53
-        for _ in range(200):
-            n, f = rng.choice([(2, 1), (3, 1), (2, 2), (3, 2)])
-            tp = TameTypePresentation(
-                PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
-                Weight.of([tuple(rng.randrange(-5, 6) for _ in range(n)) for _ in range(f)]),
-                p,
-            )
-            x = ExtAffine(
-                Weight.of([tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(f)]),
-                PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
-            )
-            back = change_presentation(change_presentation(tp, x), inverse(x))
-            assert back.to_json() == tp.to_json()
-
-    def test_wtilde_equivariance_resolution(self):
-        # The displayed candidate identity w~(x.(s,mu)) = x w~ pi(x)^{-1}
-        # fails for x with a translation part; the verified form dilates
-        # the left twist's translation by p.
-        rng = random.Random(2)
-        p = 53
-        literal_failures = 0
-        for _ in range(200):
-            n, f = rng.choice([(2, 1), (3, 2)])
-            tp = TameTypePresentation(
-                PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
-                Weight.of([tuple(rng.randrange(-5, 6) for _ in range(n)) for _ in range(f)]),
-                p,
-            )
-            x = ExtAffine(
-                Weight.of([tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(f)]),
-                PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
-            )
-            lhs = change_presentation(tp, x).wtilde()
-            literal = compose(compose(x, tp.wtilde()), inverse(pi_twist(x, 1)))
-            if lhs.to_json() != literal.to_json():
-                literal_failures += 1
-            dilated = ExtAffine(x.nu.scale(p), x.w)
-            corrected = compose(compose(dilated, tp.wtilde()), inverse(pi_twist(x, 1)))
-            assert lhs.to_json() == corrected.to_json()
-        assert literal_failures > 0
-
-    def test_tame_type_eq_finds_twist(self):
-        rng = random.Random(3)
-        p = 53
-        for _ in range(40):
-            n, f = rng.choice([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
-            tp = TameTypePresentation(
-                PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
-                Weight.of([tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(f)]),
-                p,
-            )
-            x = ExtAffine(
-                Weight.of([tuple(rng.randrange(-1, 2) for _ in range(n)) for _ in range(f)]),
-                PermTuple.of([rng.choice(all_perms(n)) for _ in range(f)]),
-            )
-            other = change_presentation(tp, x)
-            found = tame_type_eq(tp, other)
-            assert found is not None
-            assert change_presentation(tp, found).to_json() == other.to_json()
-
-    def test_tame_type_neq(self):
-        p = 53
-        t1 = TameTypePresentation(PermTuple.of([(0, 1)]), Weight.of([(3, 1)]), p)
-        t2 = TameTypePresentation(PermTuple.of([(0, 1)]), Weight.of([(3, 2)]), p)
-        assert tame_type_eq(t1, t2) is None
+def special_perms(n):
+    """All w (f = 1) with w^diamond special, by the one-embedding test."""
+    return sorted(w for w in all_perms(n) if _special_partner(w) is not None)
 
 
 class TestSpecial:
@@ -304,23 +202,22 @@ class TestSpecial:
         for n in (3, 4):
             g = ncycle(n)
             for w in all_perms(n):
-                a = is_special(restricted_lift(PermTuple.of([w]))) is not None
-                b = is_special(restricted_lift(PermTuple.of([perm_mul(w, g)]))) is not None
-                assert a == b
+                assert (_special_partner(w) is None) == (_special_partner(perm_mul(w, g)) is None)
 
     def test_f2_any_embedding(self):
-        # special iff special at some embedding
-        sp3 = set(special_perms(3))
-        w = PermTuple.of([(0, 1, 2), (0, 2, 1)])
-        cert = is_special(restricted_lift(w))
-        assert cert is not None and cert.j0 == 1
-        w2 = PermTuple.of([(0, 1, 2), (1, 2, 0)])
-        assert is_special(restricted_lift(w2)) is None
+        # an f-tuple heads a special pair iff it is special at some
+        # embedding; (0, 2, 1) is special and case A, (1, 2, 0) is not
+        heads = {(w.perms, j0) for w, _, j0 in special_pairs(3, 2)}
+        assert (((0, 1, 2), (0, 2, 1)), 1) in heads
+        assert not any(perms == ((0, 1, 2), (1, 2, 0)) for perms, _ in heads)
 
     def test_non_restricted_rejected(self):
-        x = ExtAffine.translation(Weight.eta(3, 1))
-        with pytest.raises(ValueError):
-            is_special(x)
+        # specialness is defined for restricted elements: the setup of a
+        # special pair refuses a w~ that is not restricted
+        nu, w = restricted_lift_perm((0, 2, 1))
+        shifted = ExtAffine(Weight.of([(nu[0] + 1,) + nu[1:]]), PermTuple.of([w]))
+        with pytest.raises(PresentationError, match="restricted"):
+            build_setup(shifted, restricted_lift(PermTuple.of([(2, 0, 1)])), Weight.of([(26, 13, 0)]), 53)
 
     def test_coset_constancy_check_is_a_named_error(self, monkeypatch):
         import alcalc.serre as serre_mod
@@ -440,21 +337,6 @@ class TestBuildSetup:
             )
 
 
-class TestLevi:
-    def test_blocks(self):
-        lam = Weight.of([(3, 1, 0)])
-        assert levi_restriction(lam, 1, 7)[0] == (1, 2)
-        assert levi_restriction(lam, 2, 7)[0] == (2, 1)
-
-    def test_zero_weight(self):
-        blocks, lam = levi_restriction(Weight.zero(3, 1), 1, 7)
-        assert lam == Weight.zero(3, 1)
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            levi_restriction(Weight.zero(3, 1), 3, 7)
-
-
 def diamond_oracle(mu: Weight, p: int) -> Weight:
     """Brute force: the p-restricted weight in mu + (p - pi)X*(T)^J."""
     n, f = mu.n, mu.f
@@ -482,8 +364,6 @@ class TestGL2F2:
     def test_paper_formulas_vs_diamond_oracle(self):
         p = 23
         rng = random.Random(5)
-        from alcalc.weyl import perm_act_vec
-
         for _ in range(20):
             a0, a1 = rng.randrange(8, 15), rng.randrange(8, 15)
             b0, b1 = a0 - rng.randrange(4, 8), a1 - rng.randrange(4, 8)
