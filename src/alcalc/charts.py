@@ -14,12 +14,12 @@ a_beta are the mod-v entries of the lower-unipotent chart matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .chartsolve import CVAR, ChartShape, gf_chart_system, vvar
 from .gf import GF, FElem
-from .mpoly import GFAdapter, Poly
+from .mpoly import Poly
 from .weyl import (
     negative_roots,
     perm_act_root,
@@ -199,7 +199,7 @@ def kappa_sigma(u, w, beta: tuple[int, int]) -> tuple[int, int]:
 
 def z_minus_alpha_poly(shape: ChartShape, w, K) -> Poly:
     """Z_{-alpha} as a polynomial in the top-coefficient variables
-    c_beta = ("V", i, k, degree_bound), over the field adapter K.
+    c_beta = ("V", i, k, degree_bound), over the field K (see mpoly).
 
     Z = (m'_{-alpha} - <a, w^{-1}(-alpha)>) c_{-alpha}
         + sum over (beta_1, beta_2) in D_{-alpha} of
@@ -224,46 +224,39 @@ def z_minus_alpha_poly(shape: ChartShape, w, K) -> Poly:
         raise GenericityError("u^{-1}(-alpha) is negative: kappa_{-alpha} calibration not validated here")
     m_prime = shape.degree_bound(malpha)  # kappa_{-alpha} = 0
     c1 = m_prime - _pair_a(a_vec, w, malpha)
-    if K.from_int(c1).is_zero():
+    if K(c1).is_zero():
         raise GenericityError(f"non-generic a: coefficient of c_(-alpha) vanishes ({c1} mod p)")
 
     def cvar(beta):
         return Poly.var(K, vvar(beta, shape.degree_bound(beta)))
 
     ps = path_sets(malpha, w)
-    Z = cvar(malpha).scale(K.from_int(c1))
+    Z = cvar(malpha).scale(K(c1))
     for (b1, b2) in ps.D:
         coeff = shape.degree_bound(b2) - _pair_a(a_vec, w, b2)
-        if K.from_int(coeff).is_zero():
+        if K(coeff).is_zero():
             raise GenericityError(f"non-generic a: coefficient of c_{b2} vanishes ({coeff} mod p)")
         inner = Poly.zero(K)
         for ch in ps.I[b1]:
-            term = Poly.const(K, K.one())
+            term = Poly.const(K, K(1))
             for bb in ch:
                 term = term * cvar(bb)
             if len(ch) % 2:
                 term = -term
             inner = inner + term
-        Z = Z + cvar(b2).scale(K.from_int(coeff)) * inner
+        Z = Z + cvar(b2).scale(K(coeff)) * inner
     return Z
-
-
-@lru_cache(maxsize=64)
-def z_minus_alpha_gf(shape: ChartShape, w, F: GF) -> Poly:
-    """Z_{-alpha} over F_p, built once per (shape, w, F) and shared by every
-    caller, which must not mutate it.  A GenericityError is raised again on
-    every call, since the cache keeps no exceptions."""
-    return z_minus_alpha_poly(shape, w, GFAdapter(F))
 
 
 @lru_cache(maxsize=64)
 def z_minus_alpha_terms(shape: ChartShape, w, F: GF) -> tuple:
     """Z_{-alpha} over F_p compiled to integer terms (coefficient,
-    ((beta, exponent), ...)), cached per (shape, w, F) like
-    z_minus_alpha_gf."""
+    ((beta, exponent), ...)), built once per (shape, w, F) and shared by
+    every caller.  A GenericityError is raised again on every call, since
+    the cache keeps no exceptions."""
     beta_of = shape.tops({b: b for b in negative_roots(shape.n)}, lambda b: b)
     terms = []
-    for mono, c in z_minus_alpha_gf(shape, w, F).terms.items():
+    for mono, c in z_minus_alpha_poly(shape, w, partial(FElem, F)).terms.items():
         if any(v not in beta_of for v, _ in mono):
             raise ChartInvariantError("Z_{-alpha} has a variable that is not a top coefficient")
         terms.append((c.a, tuple((beta_of[v], e) for v, e in mono)))
@@ -359,7 +352,7 @@ def build_vc_matrix(shape: ChartShape, c_values: dict, F: GF, prec: int):
     assign = shape.tops(c_values, lambda v: FElem(F, v))
     if shape.kind == "colength_one":
         assign[CVAR] = FElem(F, 0)
-    full = sysF.solve(assign)
+    full = sysF.solve(assign, shape.a_vec)
     A = sysF.numeric_A_gf(full, F, prec)
     a_values = {}
     for beta in roots:

@@ -27,13 +27,13 @@ checkers before it is used.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .gf import GF
+from .gf import GF, FElem
 from .loopmat import LoopMatrix
-from .mpoly import FieldAdapter, GFAdapter, Poly, PValAdapter, SolveError, solve_equations
+from .mpoly import Field, Poly, SolveError, solve_equations
+from .pval import PVal
 from .rmatrix import PMatrix, VPoly
 from .series import Series
 from .weyl import eta_weight, negative_roots, nu_w, perm_act_root, perm_inv, root_is_negative
@@ -67,7 +67,7 @@ def _vp_mul(a: VPolyP, b: VPolyP, K) -> VPolyP:
 
 
 def _vp_deriv(a: VPolyP, K) -> VPolyP:
-    return _vp_trim([a[d].scale(K.from_int(d)) for d in range(1, len(a))])
+    return _vp_trim([a[d].scale(K(d)) for d in range(1, len(a))])
 
 
 def _vp_shift(a: VPolyP, K) -> VPolyP:
@@ -166,15 +166,16 @@ def avar(i: int):
 class ChartSystem:
     """The symbolic chart at one embedding over a chosen scalar field: the
     normal form B and the monodromy equations are built once, here, and
-    the system does not change afterwards."""
+    the system does not change afterwards.  Only the static data of
+    `shape` is read; the monodromy parameter is an argument of `solve`."""
 
-    def __init__(self, shape: ChartShape, K: FieldAdapter):
+    def __init__(self, shape: ChartShape, K: Field):
         self.shape = shape
         self.K = K
         n = shape.n
         self.vars: list = []
         self.V: list[list[VPolyP]] = [[[] for _ in range(n)] for _ in range(n)]
-        one = Poly.const(K, K.one())
+        one = Poly.const(K, K(1))
         for i in range(n):
             self.V[i][i] = [one]
         for beta in negative_roots(n):
@@ -196,11 +197,11 @@ class ChartSystem:
         """diag((v+p)^{e_i}) as a vpoly matrix."""
         K = self.K
         n = self.shape.n
-        p_el = Poly.const(K, K.from_int(self.shape.p))
-        vp = [p_el, Poly.const(K, K.one())]  # v + p
+        p_el = Poly.const(K, K(self.shape.p))
+        vp = [p_el, Poly.const(K, K(1))]  # v + p
         out = [[[] for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            acc = [Poly.const(K, K.one())]
+            acc = [Poly.const(K, K(1))]
             for _ in range(exps[i]):
                 acc = _vp_mul(acc, vp, K)
             out[i][i] = acc
@@ -209,13 +210,13 @@ class ChartSystem:
     def _perm_matrix(self, perm) -> list[list[VPolyP]]:
         K = self.K
         n = self.shape.n
-        one = [Poly.const(K, K.one())]
+        one = [Poly.const(K, K(1))]
         return [[one if perm[k] == i else [] for k in range(n)] for i in range(n)]
 
     def _u_c(self, sign: int) -> list[list[VPolyP]]:
         K = self.K
         n = self.shape.n
-        out = [[([Poly.const(K, K.one())] if i == k else []) for k in range(n)] for i in range(n)]
+        out = [[([Poly.const(K, K(1))] if i == k else []) for k in range(n)] for i in range(n)]
         cpoly = Poly.var(K, CVAR)
         if sign < 0:
             cpoly = -cpoly
@@ -227,7 +228,7 @@ class ChartSystem:
         K = self.K
         n = self.shape.n
         negN = [[[-c for c in self.V[i][k]] if i > k else [] for k in range(n)] for i in range(n)]
-        acc = [[([Poly.const(K, K.one())] if i == k else []) for k in range(n)] for i in range(n)]
+        acc = [[([Poly.const(K, K(1))] if i == k else []) for k in range(n)] for i in range(n)]
         power = acc
         for _ in range(1, n):
             power = _mat_mul(power, negN, K)
@@ -262,7 +263,7 @@ class ChartSystem:
         Bb = [[[c * b_diag[k] for c in B[i][k]] for k in range(n)] for i in range(n)]
         M = [[_vp_add(vB1[i][k], Bb[i][k], K) for k in range(n)] for i in range(n)]
         N = _mat_mul(M, C, K)
-        root = K.from_int(-sh.p)
+        root = K(-sh.p)
         eqs: list[Poly] = []
         flagged = sh.flagged_positions()
         for i in range(n):
@@ -278,13 +279,13 @@ class ChartSystem:
         return eqs
 
     # -- solving -------------------------------------------------------------
-    def solve(self, assignments: dict) -> dict:
-        """Solve the monodromy system given values for some variables
-        (typically the top coefficients).  Returns the full variable
-        assignment."""
+    def solve(self, assignments: dict, a_vec: tuple[int, ...]) -> dict:
+        """Solve the monodromy system at the monodromy parameter a_vec,
+        given values for some variables (typically the top coefficients).
+        Returns the full variable assignment."""
         assignments = dict(assignments)
-        for i, ai in enumerate(self.shape.a_vec):
-            assignments[avar(i)] = self.K.from_int(ai)
+        for i, ai in enumerate(a_vec):
+            assignments[avar(i)] = self.K(ai)
         eqs = [e.substitute(assignments) for e in self.equations]
         nzd = CVAR if (self.shape.kind == "colength_one" and CVAR not in assignments) else None
         solved = solve_equations(self.K, eqs, nonzerodivisor=nzd)
@@ -326,29 +327,26 @@ class ChartSystem:
 _SYSTEM_CACHE: dict = {}
 
 
-def _cached_system(shape: ChartShape, K: FieldAdapter, q: int | None) -> ChartSystem:
+def _cached_system(shape: ChartShape, K: Field, q: int | None) -> ChartSystem:
     """The symbolic system of `shape` over K (q = the field size, or None
     for the p-valuation scalars), built once per static chart shape.  The
-    monodromy parameter enters symbolically, so every a_vec shares a cached
-    system through a shallow copy carrying `shape`, and the copy shares the
-    normal form and the equations.  The cache holds the systems of one
-    prime: a miss at another prime empties it, and a system evicted while
-    another thread uses it only costs that thread a rebuild."""
+    monodromy parameter enters symbolically and is given to `solve`, so
+    every a_vec shares one system, which is never mutated and so can be
+    shared between threads.  The cache holds the systems of one prime: a
+    miss at another prime empties it, and a system evicted while another
+    thread uses it only costs that thread a rebuild."""
     key = (q, shape.n, shape.p, shape.kind, shape.u_perm, shape.conj_perm)
     sys = _SYSTEM_CACHE.get(key)
     if sys is None:
         if any(k[2] != shape.p for k in list(_SYSTEM_CACHE)):
             _SYSTEM_CACHE.clear()
         sys = _SYSTEM_CACHE[key] = ChartSystem(shape, K)
-        return sys
-    clone = copy.copy(sys)
-    clone.shape = shape
-    return clone
+    return sys
 
 
 def gf_chart_system(shape: ChartShape, F: GF) -> ChartSystem:
-    return _cached_system(shape, GFAdapter(F), F.q)
+    return _cached_system(shape, partial(FElem, F), F.q)
 
 
 def pval_chart_system(shape: ChartShape) -> ChartSystem:
-    return _cached_system(shape, PValAdapter(shape.p), None)
+    return _cached_system(shape, partial(PVal.of, p=shape.p), None)

@@ -10,9 +10,10 @@ Every minor is stored under its (row indices, column indices), so a
 determinant costs 2^n minors instead of n! products and all n^2
 adjugate cofactors reuse the same sub-minors.
 
-Zero rule: an expansion term with a zero entry is skipped only once the
-running sum exists.  The first term is always formed, so a series that is
-zero to some precision still bounds the precision of the result.
+Zero rule: where zeros are exact (v-polynomials), an expansion term with
+a zero entry is skipped once the running sum exists.  A truncated series
+that is zero to its precision, O(v^k), is not an exact zero: its term is
+formed, because it bounds the precision of the result.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 class Cofactors:
     """Minors of one square matrix (a list of rows), computed on demand."""
 
-    def __init__(self, rows: list[list]):
+    def __init__(self, rows: list[list], *, exact_zeros: bool):
         self.rows = rows
         self.n = len(rows)
+        self.exact_zeros = exact_zeros
         self._minors: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
 
     def minor(self, rs: tuple[int, ...], cs: tuple[int, ...]):
@@ -44,7 +46,7 @@ class Cofactors:
         acc = None
         for k, c in enumerate(cs):
             e = row[c]
-            if acc is not None and e.is_zero():
+            if acc is not None and self.exact_zeros and e.is_zero():
                 continue
             term = e.mul(self.minor(rest, cs[:k] + cs[k + 1 :]))
             if k % 2:

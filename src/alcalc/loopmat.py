@@ -76,10 +76,10 @@ class LoopMatrix(Matrix):
         return LoopMatrix(self.F, [[e.mul(s) for e in row] for row in self.rows])
 
     def det(self) -> Series:
-        return Cofactors(self.rows).det()
+        return Cofactors(self.rows, exact_zeros=False).det()
 
     def adjugate(self) -> "LoopMatrix":
-        return self._adjugate(Cofactors(self.rows))
+        return self._adjugate(Cofactors(self.rows, exact_zeros=False))
 
     def _adjugate(self, cof: Cofactors) -> "LoopMatrix":
         if self.n == 1:
@@ -87,7 +87,7 @@ class LoopMatrix(Matrix):
         return LoopMatrix(self.F, cof.adjugate())
 
     def inverse(self) -> "LoopMatrix":
-        cof = Cofactors(self.rows)
+        cof = Cofactors(self.rows, exact_zeros=False)
         d = cof.det()
         if d.is_zero():
             raise SingularMatrixError("matrix singular to working precision")

@@ -4,55 +4,19 @@ monodromy conditions on chart coefficients symbolically and to extract
 coefficients of specific monomials.
 
 Coefficients are objects supporting +, -, *, unary -, inverse() and
-is_zero(); a FieldAdapter supplies constants.  Monomials are sorted tuples
-of (variable, exponent); variables are arbitrary hashable labels.
+is_zero().  A field K is the one-argument constructor of its scalars: K(m)
+is the image of the integer m, so K(0) and K(1) are its constants
+(functools.partial(FElem, F) over F_p, partial(PVal.of, p=p) over the
+p-valuation scalars).  Monomials are sorted tuples of (variable,
+exponent); variables are arbitrary hashable labels.
 """
 
 from __future__ import annotations
 
-from .gf import GF, FElem
-from .pval import PVal
+from collections.abc import Callable
 
 Mono = tuple[tuple[object, int], ...]
-
-
-class FieldAdapter:
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, m: int):
-        raise NotImplementedError
-
-
-class GFAdapter(FieldAdapter):
-    def __init__(self, F: GF):
-        self.F = F
-
-    def zero(self):
-        return FElem(self.F, 0)
-
-    def one(self):
-        return FElem(self.F, 1)
-
-    def from_int(self, m: int):
-        return FElem(self.F, self.F.from_int(m))
-
-
-class PValAdapter(FieldAdapter):
-    def __init__(self, p: int):
-        self.p = p
-
-    def zero(self):
-        return PVal.zero(self.p)
-
-    def one(self):
-        return PVal.one(self.p)
-
-    def from_int(self, m: int):
-        return PVal.of(m, self.p)
+Field = Callable[[int], object]
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -65,22 +29,22 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 class Poly:
     __slots__ = ("K", "terms")
 
-    def __init__(self, K: FieldAdapter, terms: dict[Mono, object] | None = None):
+    def __init__(self, K: Field, terms: dict[Mono, object] | None = None):
         self.K = K
         self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def const(K: FieldAdapter, c) -> "Poly":
+    def const(K: Field, c) -> "Poly":
         return Poly(K, {(): c})
 
     @staticmethod
-    def zero(K: FieldAdapter) -> "Poly":
+    def zero(K: Field) -> "Poly":
         return Poly(K, {})
 
     @staticmethod
-    def var(K: FieldAdapter, v) -> "Poly":
-        return Poly(K, {((v, 1),): K.one()})
+    def var(K: Field, v) -> "Poly":
+        return Poly(K, {((v, 1),): K(1)})
 
     # -- queries ------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -90,13 +54,13 @@ class Poly:
         return all(m == () for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get((), self.K.zero())
+        return self.terms.get((), self.K(0))
 
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def coefficient_of(self, mono: Mono):
-        return self.terms.get(tuple(sorted(mono, key=lambda t: repr(t[0]))), self.K.zero())
+        return self.terms.get(tuple(sorted(mono, key=lambda t: repr(t[0]))), self.K(0))
 
     def is_affine(self) -> bool:
         return self.total_degree() <= 1
@@ -189,7 +153,7 @@ class NotAffineError(ArithmeticError):
     """An affine polynomial was expected; this is a bug, not bad input."""
 
 
-def solve_equations(K: FieldAdapter, equations: list[Poly], nonzerodivisor=None):
+def solve_equations(K: Field, equations: list[Poly], nonzerodivisor=None):
     """Solve a polynomial system that becomes affine-triangular after
     substitution, as the chart monodromy systems do.
 
@@ -239,7 +203,7 @@ def solve_equations(K: FieldAdapter, equations: list[Poly], nonzerodivisor=None)
         rows = []
         for e in affine:
             const, lin = e.as_affine()
-            row = [K.zero()] * len(cols)
+            row = [K(0)] * len(cols)
             for v, c in lin.items():
                 row[colidx[v]] = c
             rows.append((row, const))

@@ -114,12 +114,12 @@ class PMatrix(Matrix):
         return PMatrix(self.p, rows)
 
     def det(self) -> VPoly:
-        return Cofactors(self.rows).det()
+        return Cofactors(self.rows, exact_zeros=True).det()
 
     def adjugate(self) -> "PMatrix":
         if self.n == 1:
             return PMatrix.identity(self.p, 1)
-        return PMatrix(self.p, Cofactors(self.rows).adjugate())
+        return PMatrix(self.p, Cofactors(self.rows, exact_zeros=True).adjugate())
 
     def diag_mod_v(self) -> list[PVal]:
         return [self.rows[i][i].eval0() for i in range(self.n)]

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .charts import ChartPoint, GenericityError, build_vc_matrix, minor_identities, z_minus_alpha, z_minus_alpha_gf
+from .charts import ChartPoint, GenericityError, build_vc_matrix, minor_identities, z_minus_alpha, z_minus_alpha_terms
 from .chartsolve import CVAR, ChartShape, pval_chart_system, vvar
 from .gf import GF, FElem, field
 from .loopmat import LoopMatrix, affine_bruhat_decompose, default_precision, iwahori_row_reduce, nabla_check
-from .mpoly import SolveError
+from .mpoly import NotAffineError, Poly, SolveError, solve_equations
 from .pval import PVal
 from .report import SCHEMA_VERSION
 from .rmatrix import FrobeniusResult, PMatrix, frobenius_minors_f, nabla_certify
@@ -116,11 +117,9 @@ def _extremal_normal_form(X: LoopMatrix, u_perm, eta, shape_ext: ChartShape) -> 
     the finitely many window coefficients of L, so (T', V') is found by
     one exact linear solve and certified by checking iota afterwards.
     Raises WitnessError when X is not in the cell."""
-    from .mpoly import GFAdapter, Poly, SolveError, solve_equations
-
     F = X.F
     n = X.n
-    K = GFAdapter(F)
+    K = partial(FElem, F)
     uinv = perm_inv(u_perm)
     W = LoopMatrix(F, [[X.rows[uinv[i]][uinv[k]] for k in range(n)] for i in range(n)])
     Winv = W.inverse()
@@ -176,7 +175,7 @@ def _extremal_normal_form(X: LoopMatrix, u_perm, eta, shape_ext: ChartShape) -> 
                     if not poly.is_zero():
                         equations.append(poly)
                 elif ia == ib and d == 0:
-                    ones.append(poly - Poly.const(K, K.one()))
+                    ones.append(poly - Poly.const(K, K(1)))
     equations.extend(ones)
     try:
         solved = solve_equations(K, equations)
@@ -240,7 +239,7 @@ def _integral_chart(shape: ChartShape, tops: dict, where: str) -> tuple[dict, PM
     """Solve the integral chart of `shape` at the given tops, realize it and
     certify the integral monodromy condition; returns (solution, matrix)."""
     sysO = pval_chart_system(shape)
-    full = sysO.solve(tops)
+    full = sysO.solve(tops, shape.a_vec)
     A = sysO.numeric_A_pval(full)
     rep = nabla_certify(A, shape.a_vec, det_vp_order=shape.n * (shape.n - 1) // 2)
     if not rep["ok"]:
@@ -308,13 +307,13 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
         # Z is affine-linear in c_{-alpha} with a unit coefficient on any
         # branch: support the other coordinates on units and solve Z = 0
         cv = _units([b for b in roots if b != malpha_root], 2 + offset)
-        Z = z_minus_alpha_gf(shape0, w0, F)
-        Zl = Z.substitute({vvar(b, shape0.degree_bound(b)): FElem(F, cv[b]) for b in cv})
-        const, lin = Zl.as_affine()
-        coeff = lin.get(vvar(malpha_root, shape0.degree_bound(malpha_root)))
-        if coeff is None or coeff.is_zero():
+        if any(b == malpha_root and e > 1 for _, mono in z_minus_alpha_terms(shape0, w0, F) for b, e in mono):
+            raise NotAffineError("Z has a power of c_(-alpha) above 1, so it is not affine in c_(-alpha)")
+        const = z_minus_alpha(shape0, w0, {**cv, malpha_root: 0}, F)
+        coeff = F.sub(z_minus_alpha(shape0, w0, {**cv, malpha_root: 1}, F), const)
+        if coeff == 0:
             raise GenericityError("Z lost its c_(-alpha) coefficient; non-generic monodromy parameter")
-        cv[malpha_root] = (-const * coeff.inverse()).a
+        cv[malpha_root] = F.mul(F.neg(const), F.inv(coeff))
         return cv
 
     def _open_checks(pt: ChartPoint) -> tuple[list, bool]:
@@ -512,16 +511,15 @@ def witness_family(setup: SetupData, t: int, count: int):
 # -- random extremal chart points (ordinarity statistics) ------------------------
 
 
-def extremal_chart_point(n: int, f: int, p: int, y_perms, a_vecs, tops_values, torus: list[list[int]] | None = None):
+def extremal_chart_point(n: int, f: int, p: int, y_perms, a_vecs, tops_values, torus: list[list[int]]):
     """Solve integral extremal chart points at each embedding and return
     (matrices, FrobeniusResult); tops_values[j] maps negative roots to
-    integer tops, torus optionally left-multiplies constant diagonal units."""
+    integer tops, and torus[j] gives the constant diagonal units that
+    left-multiply the point at embedding j."""
     mats = []
     for j in range(f):
         shape = ChartShape(n=n, p=p, kind="extremal", u_perm=tuple(y_perms[j]), conj_perm=tuple(y_perms[j]), a_vec=tuple(a_vecs[j]))
         tops = shape.tops(tops_values[j], lambda v: PVal.of(v, p))
         _, A = _integral_chart(shape, tops, f"on the extremal chart point at embedding {j}")
-        if torus is not None:
-            A = A.scale_rows([PVal.of(torus[j][u_i], p) for u_i in y_perms[j]])
-        mats.append(A)
+        mats.append(A.scale_rows([PVal.of(torus[j][u_i], p) for u_i in y_perms[j]]))
     return mats, frobenius_minors_f(mats, [tuple(yp) for yp in y_perms], p)

@@ -1,6 +1,7 @@
 """Path sets, minor identities, Z_{-alpha}, partition identities, V(c)."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -22,7 +23,7 @@ from alcalc.charts import (
 from alcalc.chartsolve import ChartShape, vvar
 from alcalc.gf import FElem, field
 from alcalc.loopmat import affine_bruhat_decompose, default_precision, nabla_check
-from alcalc.mpoly import GFAdapter, Poly
+from alcalc.mpoly import Poly
 from alcalc.pval import PVal
 from alcalc.serre import build_setup
 from alcalc.weyl import (
@@ -245,7 +246,7 @@ class TestZ:
                 sysO = pval_chart_system(shape)
                 tops = {vvar(b, shape.degree_bound(b)): PVal.of(cv[b], p) for b in negative_roots(3)}
                 tops[vvar((2, 0), shape.degree_bound((2, 0)))] = PVal.of(cv[(2, 0)], p) + PVal.sqrt_p(p)
-                full = sysO.solve(tops)
+                full = sysO.solve(tops, shape.a_vec)
                 zbar = (PVal.of(p, p) / full[CVAR]).residue()
                 zimpl = z_minus_alpha(shape, w, cv, F)
                 a = shape.a_vec
@@ -265,7 +266,7 @@ class TestZ:
         p = 53
         shape = ChartShape(n=3, p=p, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=(1, 0, 0))
         with pytest.raises(GenericityError):
-            z_minus_alpha_poly(shape, (0, 2, 1), GFAdapter(field(p)))
+            z_minus_alpha_poly(shape, (0, 2, 1), partial(FElem, field(p)))
 
 
 class TestMonomialStructure:
@@ -274,7 +275,7 @@ class TestMonomialStructure:
         # simple-chain monomial is absent and the simple-root locus kills Z
         q = 101
         F = field(q)
-        K = GFAdapter(F)
+        K = partial(FElem, F)
         rng = random.Random(2)
         checked = 0
         for n in (3, 4):
@@ -293,7 +294,7 @@ class TestMonomialStructure:
                 assert Z.coefficient_of(chain).is_zero()
                 simples = {(i + 1, i) for i in range(n - 1)}
                 zero_map = {
-                    vvar(b, shape.degree_bound(b)): K.zero() for b in negative_roots(n) if b not in simples
+                    vvar(b, shape.degree_bound(b)): K(0) for b in negative_roots(n) if b not in simples
                 }
                 assert Z.substitute(zero_map).is_zero()
                 for _ in range(200):
@@ -444,7 +445,7 @@ class TestZOracleN4:
                 sysO = pval_chart_system(shape)
                 tops = {vvar(b, shape.degree_bound(b)): PVal.of(cv[b], p) for b in negative_roots(4)}
                 tops[vvar((3, 0), shape.degree_bound((3, 0)))] = PVal.of(cv[(3, 0)], p) + PVal.sqrt_p(p)
-                full = sysO.solve(tops)
+                full = sysO.solve(tops, shape.a_vec)
                 z = PVal.of(p, p) / full[CVAR]
                 if z.valuation() != 0:
                     continue
@@ -475,14 +476,13 @@ class TestZCache:
 
     @staticmethod
     def fresh(shape, w, F, cv):
-        Z = z_minus_alpha_poly(shape, w, GFAdapter(F))
+        Z = z_minus_alpha_poly(shape, w, partial(FElem, F))
         out = Z.substitute({vvar(b, shape.degree_bound(b)): FElem(F, cv[b]) for b in cv})
         return out.constant_value().a
 
     def test_cached_matches_fresh_build(self):
-        from alcalc.charts import z_minus_alpha_gf, z_minus_alpha_terms
+        from alcalc.charts import z_minus_alpha_terms
 
-        z_minus_alpha_gf.cache_clear()
         z_minus_alpha_terms.cache_clear()
         rng = random.Random(11)
         cases = self.cases()
@@ -499,7 +499,7 @@ class TestZCache:
         assert moved > len(cases) // 2
 
     def test_non_generic_raises_every_call(self):
-        from alcalc.charts import z_minus_alpha_gf
+        from alcalc.charts import z_minus_alpha_terms
 
         p = 53
         F = field(p)
@@ -507,29 +507,31 @@ class TestZCache:
         cv = {b: 1 for b in negative_roots(3)}
         for _ in range(2):
             with pytest.raises(GenericityError):
-                z_minus_alpha_gf(shape, (0, 2, 1), F)
+                z_minus_alpha_terms(shape, (0, 2, 1), F)
         for _ in range(2):
             with pytest.raises(GenericityError):
                 z_minus_alpha(shape, (0, 2, 1), cv, F)
 
     def test_cached_poly_not_mutated(self):
-        from alcalc.charts import z_minus_alpha_gf
+        # the one cached form of Z is its compiled terms; evaluating them
+        # neither rebuilds nor changes them
+        from alcalc.charts import z_minus_alpha_terms
 
         shape, w, F = self.cases(primes=(101,))[-1]
-        Z = z_minus_alpha_gf(shape, w, F)
-        before = {m: c.a for m, c in Z.terms.items()}
+        Z = z_minus_alpha_terms(shape, w, F)
+        before = list(Z)
         rng = random.Random(4)
         for _ in range(20):
             cv = {b: rng.randrange(F.q) for b in negative_roots(shape.n)}
             z_minus_alpha(shape, w, cv, F)
-        assert z_minus_alpha_gf(shape, w, F) is Z
-        assert {m: c.a for m, c in Z.terms.items()} == before
+        assert z_minus_alpha_terms(shape, w, F) is Z
+        assert list(Z) == before
 
     def test_variable_outside_tops_raises(self, monkeypatch):
         from alcalc import charts
 
         shape, w, F = self.cases(primes=(101,))[0]
-        K = GFAdapter(F)
+        K = partial(FElem, F)
         beta = negative_roots(shape.n)[0]
         below_top = Poly.var(K, vvar(beta, shape.degree_bound(beta) - 1))
         stray = z_minus_alpha_poly(shape, w, K) + below_top
@@ -537,12 +539,10 @@ class TestZCache:
         monkeypatch.setattr(charts, "z_minus_alpha_poly", lambda *args: stray)
         try:
             for _ in range(2):
-                charts.z_minus_alpha_gf.cache_clear()
                 charts.z_minus_alpha_terms.cache_clear()
                 with pytest.raises(ChartInvariantError):
                     z_minus_alpha(shape, w, cv, F)
         finally:
-            charts.z_minus_alpha_gf.cache_clear()
             charts.z_minus_alpha_terms.cache_clear()
 
     def test_verify_z_builds_each_config_once(self, monkeypatch, capsys):
@@ -559,7 +559,6 @@ class TestZCache:
             return build(*args)
 
         monkeypatch.setattr(charts, "z_minus_alpha_poly", counting)
-        charts.z_minus_alpha_gf.cache_clear()
         charts.z_minus_alpha_terms.cache_clear()
         assert run(["verify", "z", "--trials", "50", "--seed", "3"]) == 0
         configs = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["configs"]
@@ -571,7 +570,7 @@ class TestZCache:
         import sys
         import threading
 
-        from alcalc.charts import z_minus_alpha_gf, z_minus_alpha_terms
+        from alcalc.charts import z_minus_alpha_terms
 
         rng = random.Random(8)
         points = [
@@ -596,7 +595,6 @@ class TestZCache:
         sys.setswitchinterval(1e-6)
         try:
             for trial in range(3):
-                z_minus_alpha_gf.cache_clear()
                 z_minus_alpha_terms.cache_clear()
                 # equal but new shape objects, so the top-variable memo is cold too
                 shapes = [dataclasses.replace(s) for s, _, _, _ in points]

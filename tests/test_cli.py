@@ -28,6 +28,12 @@ class TestExitCodes:
         assert run(["alcoves", "special", "--p", "10"]) == 1
         assert run(["alcoves", "special", "--n", "1"]) == 1
         assert run(["verify", "weyl", "--trials", "0"]) == 1
+        capsys.readouterr()
+        # an eta-admissible set beyond the enumeration bound of weyl.admissible_set
+        assert run(["shapes", "classify", "--n", "4", "--f", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_nonpositive_count_is_one_with_message(self, capsys, count):

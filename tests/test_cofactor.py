@@ -2,6 +2,7 @@
 and the shared matrix algebra against entrywise loops, on loop matrices
 (truncated series) and integral v-polynomial matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,17 +16,14 @@ from alcalc.series import Series
 
 
 def laplace_det(rows):
-    """First-row expansion, recomputing every minor; a zero entry is
-    skipped only once the running sum exists."""
+    """First-row expansion, recomputing every minor and forming every
+    term: a zero-to-precision entry still bounds the precision."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     acc = None
     for k in range(n):
-        e = rows[0][k]
-        if e.is_zero() and acc is not None:
-            continue
-        term = e.mul(laplace_det([[rows[i][m] for m in range(n) if m != k] for i in range(1, n)]))
+        term = rows[0][k].mul(laplace_det([[rows[i][m] for m in range(n) if m != k] for i in range(1, n)]))
         if k % 2:
             term = term.neg()
         acc = term if acc is None else acc.add(term)
@@ -111,6 +109,126 @@ class TestLoopMatrixKernel:
         d = A.det()
         assert same_series(d, laplace_det(A.rows))
         assert d.prec == 3
+
+
+def series_of(F, coeffs, prec):
+    return Series.from_coeffs(F, dict(enumerate(coeffs)), prec)
+
+
+class TestUnknownTails:
+    """O(v^k) means unknown from v^k on, not zero: every coefficient that
+    det, adjugate and inverse report must hold for every completion of the
+    unknown tails of the entries."""
+
+    def test_zero_to_precision_entry_bounds_det(self):
+        # the O(v^4) entry times the lower-left 5 + ... is unknown from v^4
+        # on, so only 4v^2 + 3v^3 is known (it was reported to O(v^8))
+        F = field(7)
+        A = LoopMatrix(
+            F,
+            [
+                [Series.from_coeffs(F, {-1: 2, 0: 1}, 6), Series.zero(F, 4)],
+                [series_of(F, [5, 1, 1, 4, 5], 7), Series.from_coeffs(F, {3: 2, 4: 4, 5: 5, 7: 3}, 9)],
+            ],
+        )
+        d = A.det()
+        assert (d.val, d.coeffs, d.prec) == (2, [4, 3], 4)
+        assert same_series(d, laplace_det(A.rows))
+
+    @staticmethod
+    def complete(s, rng):
+        """A completion of s as an exact Laurent polynomial {degree: coeff}:
+        the known window, then random coefficients on four degrees of the
+        unknown tail and zeros beyond."""
+        out = {s.val + i: c for i, c in enumerate(s.coeffs) if c}
+        for d in range(s.prec, s.prec + 4):
+            out[d] = rng.randrange(s.F.q)
+        return out
+
+    @staticmethod
+    def pmul(a, b, q):
+        out = {}
+        for d1, c1 in a.items():
+            for d2, c2 in b.items():
+                out[d1 + d2] = (out.get(d1 + d2, 0) + c1 * c2) % q
+        return {d: c for d, c in out.items() if c}
+
+    def leibniz(self, rows, q):
+        """Exact determinant of a matrix of Laurent polynomials."""
+        n = len(rows)
+        out = {}
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(perm[i] > perm[k] for i in range(n) for k in range(i + 1, n))
+            term = {0: sign % q}
+            for i in range(n):
+                term = self.pmul(term, rows[i][perm[i]], q)
+            for d, c in term.items():
+                out[d] = (out.get(d, 0) + c) % q
+        return {d: c for d, c in out.items() if c}
+
+    def exact_adjugate(self, rows, q):
+        n = len(rows)
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                m = self.leibniz([[rows[r][c] for c in range(n) if c != k] for r in range(n) if r != i], q)
+                out[k][i] = {d: (-c) % q for d, c in m.items()} if (i + k) % 2 else m
+        return out
+
+    @staticmethod
+    def inverse_coeffs(poly, upto, q):
+        """(v0, w) with 1/poly = sum_k w[k] v^(k - v0), w[0..upto)."""
+        v0 = min(poly)
+        u = [poly.get(v0 + i, 0) for i in range(upto)]
+        inv0 = pow(u[0], -1, q)
+        w = [inv0]
+        for k in range(1, upto):
+            w.append(-inv0 * sum(u[i] * w[k - i] for i in range(1, k + 1)) % q)
+        return v0, w
+
+    @staticmethod
+    def agrees(s, exact):
+        """Every coefficient s claims, zeros below its valuation included,
+        is the coefficient of the exact result."""
+        lo = min(min(exact, default=s.prec), s.val)
+        return all(s.coeff(d) == exact.get(d, 0) for d in range(lo, s.prec))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_det_adjugate_inverse_hold_for_every_completion(self, n):
+        rng = random.Random(500 + n)
+        F = field(7)
+        q = F.q
+        inverses = 0
+        for _ in range(30 if n < 4 else 12):
+            A = random_loop_matrix(F, n, rng)
+            i, k = rng.randrange(n), rng.randrange(n)
+            A.rows[i][k] = Series.zero(F, rng.randrange(2, 10))  # at least one O(v^k) entry
+            det, adj = A.det(), A.adjugate()
+            inv = None if det.is_zero() else A.inverse()
+            for _ in range(3):
+                C = [[self.complete(e, rng) for e in row] for row in A.rows]
+                exact_det = self.leibniz(C, q)
+                assert self.agrees(det, exact_det)
+                exact_adj = self.exact_adjugate(C, q)
+                assert all(self.agrees(adj.rows[r][c], exact_adj[r][c]) for r in range(n) for c in range(n))
+                if inv is None:
+                    continue
+                # the reported det has a known nonzero coefficient, so the
+                # completion's det is nonzero and invertible
+                top = max(e.prec for row in inv.rows for e in row)
+                low = min((min(e) for row in exact_adj for e in row if e), default=0)
+                v0, w = self.inverse_coeffs(exact_det, top - low + min(exact_det) + 1, q)
+                for r in range(n):
+                    for c in range(n):
+                        e = inv.rows[r][c]
+                        exact = {}
+                        for d in range(min(e.val, e.prec), e.prec):
+                            exact[d] = sum(
+                                a * w[d - da + v0] for da, a in exact_adj[r][c].items() if 0 <= d - da + v0 < len(w)
+                            ) % q
+                        assert self.agrees(e, {d: x for d, x in exact.items() if x})
+                inverses += 1
+        assert inverses > 0
 
 
 class TestPMatrixKernel:

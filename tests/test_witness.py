@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import alcalc.chartsolve as chartsolve
-from alcalc.chartsolve import ChartShape, ChartSystem, gf_chart_system, pval_chart_system
-from alcalc.gf import field
+from alcalc.chartsolve import CVAR, ChartShape, ChartSystem, avar, gf_chart_system, pval_chart_system, vvar
+from alcalc.gf import FElem, field
 from alcalc.pval import PVal
 from alcalc.rmatrix import PMatrix, VPoly, frobenius_minors_f, nabla_certify
 from alcalc.serre import build_setup, special_pairs
@@ -259,15 +259,15 @@ class TestOneSolvePerChart:
         # every special-fiber chart point is solved by build_vc_matrix and
         # reused from there, never solved a second time
         import alcalc.witness as witness_mod
-        from alcalc.mpoly import GFAdapter
+        from alcalc.gf import FElem
 
         setup = make_setup()
         counts = {"gf_solves": 0, "builds": 0}
         solve, build = ChartSystem.solve, witness_mod.build_vc_matrix
 
-        def counting_solve(self, assignments):
-            counts["gf_solves"] += isinstance(self.K, GFAdapter)
-            return solve(self, assignments)
+        def counting_solve(self, assignments, a_vec):
+            counts["gf_solves"] += isinstance(self.K(0), FElem)
+            return solve(self, assignments, a_vec)
 
         def counting_build(*args):
             counts["builds"] += 1
@@ -304,18 +304,81 @@ class TestOneSolvePerChart:
 
 
 class TestSystemCache:
+    # monodromy parameters of special setups that share one static shape
+    A_VECS = ((27, 14, 0), (25, 13, 0), (31, 15, 0), (23, 11, 0))
+
     @staticmethod
     def _shape(p, a_vec=(1, 0, 0)):
         return ChartShape(n=3, p=p, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=a_vec)
 
+    @staticmethod
+    def _lift_tops(shape, cv):
+        # integral tops with the -alpha top moved by sqrt(p), as a witness lifts them
+        tops = shape.tops(cv, lambda v: PVal.of(v, shape.p))
+        top = vvar((2, 0), shape.degree_bound((2, 0)))
+        tops[top] = tops[top] + PVal.sqrt_p(shape.p)
+        return tops
+
     def test_hit_shares_the_built_system(self, monkeypatch):
+        # a hit is the built system itself, not a copy; the monodromy
+        # parameter is the one each solve is given
         monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
-        first = pval_chart_system(self._shape(53))
-        second = pval_chart_system(self._shape(53, a_vec=(30, 14, 0)))
-        assert second is not first
-        assert second.shape.a_vec == (30, 14, 0) and first.shape.a_vec == (1, 0, 0)
+        first = pval_chart_system(self._shape(53, a_vec=self.A_VECS[0]))
+        second = pval_chart_system(self._shape(53, a_vec=self.A_VECS[2]))
+        assert second is first
+        tops = self._lift_tops(self._shape(53), {(1, 0): 3, (2, 1): 5, (2, 0): 7})
+        for a_vec in (self.A_VECS[2], self.A_VECS[0]):
+            full = second.solve(tops, a_vec)
+            assert [full[avar(i)] for i in range(3)] == [PVal.of(a, 53) for a in a_vec]
         assert second.equations is first.equations
         assert second.B is first.B
+
+    def test_threads_share_one_system_across_a_vecs(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
+        p = 53
+        F = field(p)
+        shapes = [self._shape(p, a_vec) for a_vec in self.A_VECS]
+        assert len({id(gf_chart_system(s, F)) for s in shapes}) == 1
+        assert len({id(pval_chart_system(s)) for s in shapes}) == 1
+        sysF, sysO = gf_chart_system(shapes[0], F), pval_chart_system(shapes[0])
+        rng = random.Random(3)
+        jobs = []
+        for _ in range(2):
+            cv = {b: rng.randrange(1, p) for b in negative_roots(3)}
+            for s in shapes:
+                gf_tops = s.tops(cv, lambda v: FElem(F, v))
+                gf_tops[CVAR] = FElem(F, 0)
+                jobs += [(sysF, gf_tops, s.a_vec), (sysO, self._lift_tops(s, cv), s.a_vec)]
+        serial = [system.solve(tops, a_vec) for system, tops, a_vec in jobs]
+        # one point solved at four parameters gives four integral points
+        assert len({serial[k][CVAR] for k in (1, 3, 5, 7)}) == 4
+        errors = []
+
+        def work(order):
+            try:
+                for k in order:
+                    system, tops, a_vec = jobs[k]
+                    if system.solve(tops, a_vec) != serial[k]:
+                        errors.append(k)
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            orders = [random.Random(t).sample(range(len(jobs)), len(jobs)) for t in range(4)]
+            threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
 
     def test_new_prime_evicts_the_old_prime(self, monkeypatch):
         cache = {}
