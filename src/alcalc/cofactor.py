@@ -1,8 +1,9 @@
 """
-The one exact matrix algebra behind loop matrices and integral chart
-matrices: products, sums, derivatives and row scaling (`Matrix`), and
-determinants and adjugates by first-row Laplace expansion with shared
-minors (`Cofactors`).
+The exact matrix algebra behind loop matrices and integral chart
+matrices: sums, derivatives and row scaling (`Matrix`), with the entry-wise
+product that integral chart matrices use (loop matrices form each product
+entry with one `Series.dot`), and determinants and adjugates by first-row
+Laplace expansion with shared minors (`Cofactors`).
 
 Entries may come from any ring whose elements have .add, .mul, .neg,
 .scale, .derivative and .is_zero (truncated series, v-polynomials).

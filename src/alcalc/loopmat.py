@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cofactor import Cofactors, Matrix
 from .gf import GF
-from .series import Series
+from .series import InsufficientPrecisionError, Series
 
 
 class SingularMatrixError(ArithmeticError):
@@ -72,6 +72,11 @@ class LoopMatrix(Matrix):
     def _like(self, rows: list[list[Series]]) -> "LoopMatrix":
         return LoopMatrix(self.F, rows)
 
+    def mul(self, other: "LoopMatrix") -> "LoopMatrix":
+        F = self.F
+        cols = list(zip(*other.rows))
+        return LoopMatrix(F, [[Series.dot(F, zip(row, col)) for col in cols] for row in self.rows])
+
     def scale(self, s: Series) -> "LoopMatrix":
         return LoopMatrix(self.F, [[e.mul(s) for e in row] for row in self.rows])
 
@@ -111,10 +116,10 @@ def random_iwahori(F: GF, n: int, prec: int, rng) -> LoopMatrix:
         row = []
         for k in range(n):
             lo = 1 if i > k else 0
-            cs = {d: F.rand(rng) for d in range(lo, 7)}
+            cs = [F.rand(rng) for _ in range(lo, 7)]
             if i == k:
                 cs[0] = F.rand_unit(rng)
-            row.append(Series.from_coeffs(F, cs, prec))
+            row.append(Series(F, lo, cs, prec))
         rows.append(row)
     return LoopMatrix(F, rows)
 
@@ -125,11 +130,15 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
     Valuation-pivot Gaussian elimination using only Iwahori-legal row and
     column operations.  Pivot rule: among entries of minimal valuation in
     the live (unprocessed) submatrix, smallest column then largest row.
+    A live entry that is zero to precision, O(v^k), is unknown from v^k
+    on, so it raises InsufficientPrecisionError when it could still win
+    that rule: (k, column, -row) below the chosen (m, c, -r).
 
     Inverse-free: the pivot u*v^m is never normalised.  Another live row
     with entry e in the pivot column is cleared by
-    R_i <- u*R_i - (e/v^m)*R_r, with u the exact polynomial of the
-    pivot's known coefficients, so the unit scaling costs no precision.
+    R_i <- u*R_i - (e/v^m)*R_r, one two-pair `Series.dot` per entry, with
+    u the exact polynomial of the pivot's known coefficients, so the unit
+    scaling costs no precision.
     Live block: row operations touch only the live columns (retired rows
     and columns are never read again), and the new zero under the pivot
     is written with the precision the products would give it.  Column
@@ -149,17 +158,21 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
     # no operation raises a precision, so no entry ever gets above this
     top = max(e.prec for row in W for e in row)
     for _ in range(n):
-        best = None
+        best = unknown = None
         for k in sorted(cols_left):
             for i in sorted(rows_left):
                 e = W[i][k]
-                if e.is_zero():
-                    continue
                 cand = (e.val, k, -i)
-                if best is None or cand < best:
+                if e.is_zero():
+                    if unknown is None or cand < unknown:
+                        unknown = cand
+                elif best is None or cand < best:
                     best = cand
         if best is None:
             raise SingularMatrixError("no pivot: matrix singular to working precision")
+        if unknown is not None and unknown < best:
+            k, c, negr = unknown
+            raise InsufficientPrecisionError(f"pivot undecided: entry ({-negr}, {c}) is O(v^{k})")
         m, c, negr = best
         r = -negr
         rows_left.discard(r)
@@ -178,8 +191,9 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
             if i > r and f.val < 1:
                 raise PivotRuleError("pivot rule violated: illegal row operation required")
             row = W[i]
+            negf = f.neg()
             for k in cols_left:
-                row[k] = unit.mul(row[k]).sub(f.mul(pivot_row[k]))
+                row[k] = Series.dot(A.F, ((unit, row[k]), (negf, pivot_row[k])))
             # u*e - f*pivot is zero below the precision of f*pivot
             row[c] = Series.zero(A.F, min(e.prec, pivot.prec - m + e.val))
         # clear the rest of row r with legal column operations: only the

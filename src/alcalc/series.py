@@ -9,7 +9,13 @@ unknown coefficient raises InsufficientPrecisionError instead of guessing.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .gf import GF
+
+# the typed Kronecker slots, narrowest first: (bits, array typecode)
+_SLOTS = tuple((array(code).itemsize * 8, code) for code in "HIQ")
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -130,34 +136,87 @@ class Series:
         return self.add(other.neg())
 
     def mul(self, other: "Series") -> "Series":
-        F = self.F
-        if not self.coeffs or not other.coeffs:
-            # 0 * x: valuation of the zero side is >= its prec
-            if not self.coeffs:
-                prec = min(self.prec + (other.val if other.coeffs else other.prec), other.prec + self.prec)
+        return Series.dot(self.F, ((self, other),))
+
+    @staticmethod
+    def dot(F: GF, pairs) -> "Series":
+        """sum(x*y for x, y in pairs), with the value, valuation and
+        precision of x0.mul(y0).add(x1.mul(y1))...
+
+        The precision is the least prec(x) + val(y), prec(y) + val(x) over
+        the pairs (a zero-to-precision series has val = prec).  Kronecker
+        substitution: each operand, cut to the known window of the sum,
+        is packed into one int with one slot per coefficient, every
+        product is shifted to its valuation and added into one int, and
+        each output coefficient is reduced mod q once.  A slot holds a sum
+        of at most (sum of the shorter operand lengths) products of
+        residues in 0..q-1, so no slot carries into the next.  Slots of
+        16, 32 or 64 bits are packed and unpacked as typed arrays; wider
+        slots (q above about 2^27) by shift and mask.
+        """
+        prec = None
+        nonzero = []
+        for x, y in pairs:
+            p = x.prec + y.val
+            r = y.prec + x.val
+            if r < p:
+                p = r
+            if prec is None or p < prec:
+                prec = p
+            if x.coeffs and y.coeffs:
+                nonzero.append((x.val + y.val, x.coeffs, y.coeffs))
+        # cut every product to the window of the sum; low is the least
+        # valuation, span the end of the longest product and short the
+        # most products that land in one slot
+        terms = []
+        low = span = None
+        short = 0
+        for lo, a, b in nonzero:
+            cut = prec - lo
+            if cut <= 0:
+                continue
+            a, b = a[:cut], b[:cut]
+            la, lb = len(a), len(b)
+            short += la if la < lb else lb
+            end = lo + la + lb - 1
+            if low is None:
+                low, span = lo, end
             else:
-                prec = min(other.prec + self.val, self.prec + other.prec)
+                if lo < low:
+                    low = lo
+                if end > span:
+                    span = end
+            terms.append((lo, a, b))
+        if low is None:
             return Series.zero(F, prec)
-        prec = min(self.prec + other.val, other.prec + self.val)
-        lo = self.val + other.val
-        out_len = min(len(self.coeffs) + len(other.coeffs) - 1, prec - lo)
-        if out_len <= 0:
-            return Series.zero(F, prec)
-        # Kronecker substitution: pack each operand into one int with slots
-        # wide enough that no coefficient of the product (a sum of at most
-        # min(len) products of residues in 0..q-1) carries into the next,
-        # take one big-int product and unpack it
-        a, b = self.coeffs[:out_len], other.coeffs[:out_len]
+        span -= low
+        out_len = prec - low
+        if span < out_len:
+            out_len = span
         q = F.q
-        w = 2 * (q - 1).bit_length() + min(len(a), len(b)).bit_length()
-        pa = pb = 0
-        for c in reversed(a):
-            pa = pa << w | c
-        for c in reversed(b):
-            pb = pb << w | c
-        prod = pa * pb
-        mask = (1 << w) - 1
-        return Series(F, lo, [(prod >> s & mask) % q for s in range(0, w * out_len, w)], prec)
+        bits = 2 * (q - 1).bit_length() + short.bit_length()
+        for size, code in _SLOTS:
+            if bits <= size:
+                # typed slots: pack and unpack as native arrays of bytes
+                order = sys.byteorder
+                acc = 0
+                for lo, a, b in terms:
+                    pa = int.from_bytes(array(code, a).tobytes(), order)
+                    pb = int.from_bytes(array(code, b).tobytes(), order)
+                    acc += (pa * pb) << (size * (lo - low))
+                slots = memoryview(acc.to_bytes(span * size // 8, order)).cast(code)
+                return Series(F, low, [c % q for c in slots[:out_len].tolist()], prec)
+        # a slot wider than 64 bits: shift and mask
+        acc = 0
+        for lo, a, b in terms:
+            pa = pb = 0
+            for c in reversed(a):
+                pa = pa << bits | c
+            for c in reversed(b):
+                pb = pb << bits | c
+            acc += (pa * pb) << (bits * (lo - low))
+        mask = (1 << bits) - 1
+        return Series(F, low, [(acc >> s & mask) % q for s in range(0, bits * out_len, bits)], prec)
 
     def scale(self, c: int) -> "Series":
         F = self.F

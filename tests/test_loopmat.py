@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from alcalc.gf import field
+import alcalc.series
+from alcalc.gf import GF, field
 from alcalc.loopmat import (
     LoopMatrix,
     PivotRuleError,
@@ -17,6 +18,43 @@ from alcalc.loopmat import (
     random_iwahori,
 )
 from alcalc.series import InsufficientPrecisionError, Series
+
+
+# Kronecker slot widths: 16 bits (q <= 7), 32 bits (53, 521), 64 bits
+# (1000003, and 2^31 - 1 with at most 3 products per slot) and wider
+KRONECKER_Q = [2, 3, 5, 7, 53, 521, 1000003, 2147483647, 2**61 - 1]
+
+
+def prime_field(q):
+    """gf.field(q), except that the Mersenne prime 2^61 - 1 is taken as
+    prime without the trial division, which would take minutes."""
+    if q != 2**61 - 1:
+        return field(q)
+    F = object.__new__(GF)
+    F.q = F.p = q
+    return F
+
+
+def schoolbook_dot(F, pairs) -> Series:
+    """sum(x*y) by schoolbook convolution and a dict sum: known below the
+    least prec(x) + val(y), prec(y) + val(x), where a zero-to-precision
+    operand counts with val = prec."""
+    def val(s):
+        return s.val if s.coeffs else s.prec
+
+    prec = min(min(x.prec + val(y), y.prec + val(x)) for x, y in pairs)
+    total = {}
+    for x, y in pairs:
+        for i, a in enumerate(x.coeffs):
+            for j, b in enumerate(y.coeffs):
+                d = x.val + y.val + i + j
+                if d < prec:
+                    total[d] = (total.get(d, 0) + a * b) % F.q
+    return Series.from_coeffs(F, total, prec)
+
+
+def window(s: Series):
+    return (s.val, s.coeffs, s.prec)
 
 
 def matrix_eq(A: LoopMatrix, B: LoopMatrix) -> bool:
@@ -43,7 +81,8 @@ def normalising_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, ..
     """Oracle for affine_bruhat_decompose: the elimination that scales each
     pivot row by the inverse of the pivot's unit part, so the pivot becomes
     exactly v^m, and applies every row and column operation to the whole
-    matrix."""
+    matrix.  A zero-to-precision entry O(v^k) that could win the pivot rule
+    ((k, column, -row) below the chosen pivot's) raises."""
     n = A.n
     W = A.copy()
     rows_left = set(range(n))
@@ -62,6 +101,11 @@ def normalising_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, ..
                     best = cand
         if best is None:
             raise SingularMatrixError("no pivot: matrix singular to working precision")
+        for k in sorted(cols_left):
+            for i in sorted(rows_left):
+                e = W.rows[i][k]
+                if e.is_zero() and (e.prec, k, -i) < best:
+                    raise InsufficientPrecisionError("an unknown entry could be the pivot")
         m, c, negr = best
         r = -negr
         pivot = W.rows[r][c]
@@ -133,9 +177,9 @@ class TestSeries:
         cs = [rng.randrange(1, q)] + [rng.choice([0, rng.randrange(q), q - 1]) for _ in range(size)]
         return Series(F, val, cs, val + rng.randrange(len(cs), len(cs) + 6))
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 7, 53, 521, 1000003])
+    @pytest.mark.parametrize("q", KRONECKER_Q)
     def test_mul_matches_naive_convolution(self, q):
-        F = field(q)
+        F = prime_field(q)
         rng = random.Random(q)
         cut = long = zeros = 0
         for _ in range(80):
@@ -154,6 +198,45 @@ class TestSeries:
             got, want = a.mul(b), Series.from_coeffs(F, conv, prec)
             assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
         assert cut > 0 and long > 0 and zeros > 0
+
+    def test_dot_matches_schoolbook(self, monkeypatch):
+        # 1-5 pairs of short, long and zero-to-precision operands at every
+        # q, against the reference and the chain of mul and add, and 1-5
+        # pairs of operands whose coefficients are all q - 1, which fill a
+        # slot as far as the products can; the typed slot of every call is
+        # read off the array typecodes it packs
+        codes = []
+        array = alcalc.series.array
+
+        def spy(code, *args):
+            codes.append(code)
+            return array(code, *args)
+
+        monkeypatch.setattr(alcalc.series, "array", spy)
+        kinds = set()
+        pair_counts = set()
+
+        def check(F, pairs):
+            pair_counts.add(len(pairs))
+            codes.clear()
+            got = Series.dot(F, pairs)
+            chain = pairs[0][0].mul(pairs[0][1])
+            for x, y in pairs[1:]:
+                chain = chain.add(x.mul(y))
+            assert window(got) == window(schoolbook_dot(F, pairs)) == window(chain)
+            if got.coeffs:
+                kinds.add(codes[0] if codes else "wide")
+
+        for q in KRONECKER_Q:
+            F = prime_field(q)
+            rng = random.Random(q + 2)
+            for _ in range(60):
+                check(F, [(self.random_series(F, rng), self.random_series(F, rng)) for _ in range(rng.randrange(1, 6))])
+            for count in range(1, 6):
+                for size in (1, 2, 3, 151):
+                    check(F, [(Series(F, 0, [q - 1] * size, size + 2), Series(F, -1, [q - 1] * size, size)) for _ in range(count)])
+        assert kinds == {"H", "I", "Q", "wide"}
+        assert pair_counts == {1, 2, 3, 4, 5}
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 53, 521, 1000003])
     def test_add_matches_dict_sum(self, q):
@@ -234,6 +317,20 @@ class TestMatrixOps:
         Z = LoopMatrix.zero(F, 2, 10)
         with pytest.raises(SingularMatrixError):
             Z.inverse()
+
+    @pytest.mark.parametrize("q", KRONECKER_Q)
+    def test_mul_matches_schoolbook(self, q):
+        # every entry of a product of n x n matrices (n = 1..5) of short,
+        # long and zero-to-precision entries is the dot of a row and a column
+        F = prime_field(q)
+        rng = random.Random(q + 3)
+        for n in (1, 2, 3, 4, 5):
+            A, B = (LoopMatrix(F, [[TestSeries.random_series(F, rng) for _ in range(n)] for _ in range(n)]) for _ in "AB")
+            got = A.mul(B)
+            for i in range(n):
+                for k in range(n):
+                    want = schoolbook_dot(F, [(A.rows[i][m], B.rows[m][k]) for m in range(n)])
+                    assert window(got.rows[i][k]) == window(want)
 
 
 class TestIwahoriMember:
@@ -368,16 +465,75 @@ class TestDecompose:
         assert normalising_decompose(A) == want
         assert affine_bruhat_decompose(A) == want
 
+    def test_unknown_entry_that_could_be_the_pivot_raises(self):
+        # [[v^-1 + O(v), 6v + 6v^2 + 6v^4 + O(v^6)],
+        #  [O(v^-1),     2v^-1 + 5 + v + O(v^4)]] over F_7: the lower-left
+        # entry is unknown from v^-1 on, so it may hold the pivot
+        F = field(7)
+        A = LoopMatrix(
+            F,
+            [
+                [Series(F, -1, [1], 1), Series(F, 1, [6, 6, 0, 6], 6)],
+                [Series.zero(F, -1), Series(F, -1, [2, 5, 1], 4)],
+            ],
+        )
+        for decompose in (normalising_decompose, affine_bruhat_decompose):
+            with pytest.raises(InsufficientPrecisionError):
+                decompose(A)
+        # two completions of the unknown entry give different cosets
+        for lower_left, w in ((Series.zero(F, 20), (0, 1)), (Series(F, -1, [1], 20), (1, 0))):
+            full = LoopMatrix(F, [[A.rows[0][0], A.rows[0][1]], [lower_left, A.rows[1][1]]])
+            full = LoopMatrix(F, [[Series(F, e.val, e.coeffs, 20) for e in row] for row in full.rows])
+            assert affine_bruhat_decompose(full)[1] == w
+
+    def test_answer_is_the_same_for_every_completion(self):
+        # every unknown tail filled with random coefficients and known far
+        # beyond: a returned (nu, w) must not change, or the call raises
+        rng = random.Random(23)
+
+        def tail(F):
+            return [F.rand(rng) for _ in range(8)]
+
+        returned = compared = 0
+        for trial in range(900):
+            n = 2 + trial % 2
+            F = field(rng.choice([2, 3, 5, 7]))
+            A = self._random_matrix(F, n, default_precision(n, 8), rng)
+            try:
+                got = affine_bruhat_decompose(A)
+            except ArithmeticError:
+                continue
+            returned += 1
+            for _ in range(3):
+                full = LoopMatrix(
+                    F,
+                    [
+                        [Series(F, e.val, e.coeffs + [0] * (e.prec - e.val - len(e.coeffs)) + tail(F), e.prec + 40) for e in row]
+                        for row in A.rows
+                    ],
+                )
+                try:
+                    other = affine_bruhat_decompose(full)
+                except ArithmeticError:
+                    continue
+                compared += 1
+                assert other == got, (trial, A)
+        assert returned > 300 and compared > 2 * returned
+
     def test_no_inverse_and_bounded_products(self, monkeypatch):
-        calls = {"inverse": 0, "mul": 0}
-        inverse, mul = Series.inverse, Series.mul
+        # products are counted as the pairs handed to Series.dot, which
+        # Series.mul also goes through
+        calls = {"inverse": 0, "products": 0}
+        inverse, dot = Series.inverse, Series.dot
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counted_inverse(*args):
+            calls["inverse"] += 1
+            return inverse(*args)
 
-            return wrapper
+        def counted_dot(F, pairs):
+            pairs = list(pairs)
+            calls["products"] += len(pairs)
+            return dot(F, pairs)
 
         rng = random.Random(5)
         F = field(7)
@@ -386,15 +542,15 @@ class TestDecompose:
             nu = tuple(rng.randrange(-3, 4) for _ in range(n))
             w = tuple(rng.sample(range(n), n))
             A = random_iwahori(F, n, prec, rng).mul(LoopMatrix.monomial(F, nu, w, prec)).mul(random_iwahori(F, n, prec, rng))
-            calls.update(inverse=0, mul=0)
+            calls.update(inverse=0, products=0)
             with monkeypatch.context() as mp:
-                mp.setattr(Series, "inverse", counted("inverse", inverse))
-                mp.setattr(Series, "mul", counted("mul", mul))
+                mp.setattr(Series, "inverse", counted_inverse)
+                mp.setattr(Series, "dot", staticmethod(counted_dot))
                 assert affine_bruhat_decompose(A) == (nu, w)
             # two products per live entry off the pivot column of each
             # cleared row: at most (n-1)n(2n-1)/3, below 2(n^3-n)/3
             assert calls["inverse"] == 0
-            assert 0 < calls["mul"] <= (n - 1) * n * (2 * n - 1) // 3
+            assert 0 < calls["products"] <= (n - 1) * n * (2 * n - 1) // 3
 
 
 class TestNabla:
