@@ -193,65 +193,36 @@ class ChartSystem:
         self.equations: list[Poly] = self._monodromy_equations(self.B, C)
 
     # -- assembly ---------------------------------------------------------
-    def _vpp_pow_eta(self, exps) -> list[list[VPolyP]]:
-        """diag((v+p)^{e_i}) as a vpoly matrix."""
-        K = self.K
-        n = self.shape.n
-        p_el = Poly.const(K, K(self.shape.p))
-        vp = [p_el, Poly.const(K, K(1))]  # v + p
-        out = [[[] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            acc = [Poly.const(K, K(1))]
-            for _ in range(exps[i]):
-                acc = _vp_mul(acc, vp, K)
-            out[i][i] = acc
-        return out
-
-    def _perm_matrix(self, perm) -> list[list[VPolyP]]:
-        K = self.K
-        n = self.shape.n
-        one = [Poly.const(K, K(1))]
-        return [[one if perm[k] == i else [] for k in range(n)] for i in range(n)]
-
-    def _u_c(self, sign: int) -> list[list[VPolyP]]:
-        K = self.K
-        n = self.shape.n
-        out = [[([Poly.const(K, K(1))] if i == k else []) for k in range(n)] for i in range(n)]
-        cpoly = Poly.var(K, CVAR)
-        if sign < 0:
-            cpoly = -cpoly
-        out[self.shape.k0][self.shape.i0] = [cpoly]
-        return out
-
-    def _vinv(self) -> list[list[VPolyP]]:
-        """V^{-1} = sum (-N)^k for the strictly-lower part N of V."""
-        K = self.K
-        n = self.shape.n
-        negN = [[[-c for c in self.V[i][k]] if i > k else [] for k in range(n)] for i in range(n)]
-        acc = [[([Poly.const(K, K(1))] if i == k else []) for k in range(n)] for i in range(n)]
-        power = acc
-        for _ in range(1, n):
-            power = _mat_mul(power, negN, K)
-            acc = [[_vp_add(acc[i][k], power[i][k], K) for k in range(n)] for i in range(n)]
-        return acc
-
     def assemble(self) -> tuple[list[list[VPolyP]], list[list[VPolyP]]]:
-        """Returns (B, C) with B the normal form and C = B^{-1} (v+p)^{n-1}."""
+        """Returns (B, C) with B the normal form and C = B^{-1} (v+p)^{n-1}.
+        Each constant factor is applied as the row or column operation it
+        is: B = (v+p)^eta V scales row i by (v+p)^{eta_i}, and
+        C = V^{-1} (v+p)^{(n-1) - eta} scales column k of V^{-1}, which is
+        found by forward substitution since V is lower unipotent.  For a
+        colength-one chart, u_{-alpha}(c) s_alpha swaps rows i0 and k0 of B
+        and adds c times row i0 to row k0; on C its inverse swaps columns
+        i0 and k0 and subtracts c times column k0 from column i0."""
         K = self.K
         sh = self.shape
         n = sh.n
+        V = self.V
         eta = eta_weight(n)
-        D = self._vpp_pow_eta(eta)
-        Dhat = self._vpp_pow_eta([n - 1 - e for e in eta])
-        B = _mat_mul(D, self.V, K)
-        C = _mat_mul(self._vinv(), Dhat, K)
+        one = Poly.const(K, K(1))
+        vpp = [[one]]  # (v+p)^0, ..., (v+p)^{n-1}
+        for _ in range(1, n):
+            vpp.append(_vp_mul(vpp[-1], [Poly.const(K, K(sh.p)), one], K))
+        B = [[_vp_mul(vpp[eta[i]], V[i][k], K) for k in range(n)] for i in range(n)]
+        Vinv = [[[one] if i == k else [] for k in range(n)] for i in range(n)]
+        for i in range(n):
+            for k in range(i):
+                Vinv[i][k] = [-x for x in _fold_add([_vp_mul(V[i][m], Vinv[m][k], K) for m in range(k, i)], K)]
+        C = [[_vp_mul(Vinv[i][k], vpp[n - 1 - eta[k]], K) for k in range(n)] for i in range(n)]
         if sh.kind == "colength_one":
-            from .weyl import transposition
-
-            s_alpha = transposition(n, sh.i0, sh.k0)
-            S = self._perm_matrix(s_alpha)
-            B = _mat_mul(self._u_c(+1), _mat_mul(S, B, K), K)
-            C = _mat_mul(C, _mat_mul(self._perm_matrix(perm_inv(s_alpha)), self._u_c(-1), K), K)
+            i0, k0 = sh.i0, sh.k0
+            c = Poly.var(K, CVAR)
+            B[i0], B[k0] = B[k0], [_vp_add(_vp_mul([c], x, K), y, K) for x, y in zip(B[k0], B[i0])]
+            for row in C:
+                row[i0], row[k0] = _vp_add(_vp_mul([-c], row[i0], K), row[k0], K), row[i0]
         return B, C
 
     def _monodromy_equations(self, B, C) -> list[Poly]:

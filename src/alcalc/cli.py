@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import charts, serre, weyl, witness
-from .gf import field, is_prime
+from .gf import PRIME_BOUND, field, is_prime
 from .loopmat import LoopMatrix, affine_bruhat_decompose, default_precision, nabla_check, random_iwahori
 from .report import Report, emit_report
 from .weyl import ExtAffine, PermTuple, Weight
@@ -80,6 +80,8 @@ def _validate(cfg):
         raise ConfigError("n must be at least 2")
     if cfg["f"] < 1:
         raise ConfigError("f must be at least 1")
+    if cfg["p"] >= PRIME_BOUND:
+        raise ConfigError(f"p must be below {PRIME_BOUND}, where the primality test stops being exact, got p = {cfg['p']}")
     if not is_prime(cfg["p"]):
         raise ConfigError(f"p = {cfg['p']} is not prime")
     if cfg["trials"] < 1:

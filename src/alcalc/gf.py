@@ -7,14 +7,37 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+# The first 13 primes.  As strong-pseudoprime bases they decide primality
+# exactly below PRIME_BOUND = psi_13 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin test; raises ValueError for m >= PRIME_BOUND,
+    where these bases no longer decide."""
+    if m >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}, got {m}")
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for b in MILLER_RABIN_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

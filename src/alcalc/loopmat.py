@@ -218,7 +218,9 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
 def nabla_check(A: LoopMatrix, a: tuple[int, ...]) -> bool:
     """Special-fiber monodromy condition for the diagonal integer vector a:
     E = v (v dA/dv A^{-1} + A a A^{-1}) must be integral and upper
-    triangular mod v."""
+    triangular mod v.  Unless a known entry of E already fails, raises
+    InsufficientPrecisionError when an entry is zero only to a precision
+    that leaves the answer open."""
     F = A.F
     n = A.n
     Ainv = A.inverse()
@@ -235,15 +237,20 @@ def nabla_check(A: LoopMatrix, a: tuple[int, ...]) -> bool:
     )
     term1 = dA.mul(Ainv)
     term2 = A.mul(amat).mul(Ainv)
+    unknown = None  # the first entry zero only below the precision it needs
     for i in range(n):
         for k in range(n):
             e = term1.rows[i][k].shift(1).add(term2.rows[i][k]).shift(1)  # v*(v*dA*Ainv + A a Ainv)
             if e.is_zero():
+                if unknown is None and e.prec < (1 if i > k else 0):
+                    unknown = f"E[{i}][{k}] = {e!r}"
                 continue
             if e.val < 0:
                 return False
             if i > k and e.coeff(0) != 0:
                 return False
+    if unknown is not None:
+        raise InsufficientPrecisionError(f"nabla check: {unknown} leaves the answer open")
     return True
 
 

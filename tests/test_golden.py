@@ -32,6 +32,7 @@ CASES = {
     "witness_triple.json": ["witness", "triple", "--n", "4", "--f", "1", "--pair", "1", "--t", "5", "--count", "2"],
     "witness_triple_p521.json": ["witness", "triple", "--n", "3", "--f", "2", "--p", "521", "--t", "2", "--count", "2"],
     "witness_triple_p2147483647.json": ["witness", "triple", "--n", "3", "--f", "1", "--p", "2147483647", "--t", "2", "--count", "2"],
+    "witness_triple_n5.json": ["witness", "triple", "--n", "5", "--f", "1", "--p", "101", "--t", "3", "--count", "1"],
     "predicates_fi.json": ["predicates", "fi", "--n", "4", "--f", "2", "--trials", "3", "--seed", "1"],
     "predicates_fi_n5.json": ["predicates", "fi", "--n", "5", "--f", "1", "--p", "197", "--trials", "5", "--seed", "1"],
     "alcoves_special.csv": ["alcoves", "special", "--n", "3", "--f", "3", "--format", "csv-summary"],

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import alcalc.series
-from alcalc.gf import GF, field
+from alcalc.gf import field
 from alcalc.loopmat import (
     LoopMatrix,
     PivotRuleError,
@@ -23,16 +23,6 @@ from alcalc.series import InsufficientPrecisionError, Series
 # Kronecker slot widths: 16 bits (q <= 7), 32 bits (53, 521), 64 bits
 # (1000003, and 2^31 - 1 with at most 3 products per slot) and wider
 KRONECKER_Q = [2, 3, 5, 7, 53, 521, 1000003, 2147483647, 2**61 - 1]
-
-
-def prime_field(q):
-    """gf.field(q), except that the Mersenne prime 2^61 - 1 is taken as
-    prime without the trial division, which would take minutes."""
-    if q != 2**61 - 1:
-        return field(q)
-    F = object.__new__(GF)
-    F.q = F.p = q
-    return F
 
 
 def schoolbook_dot(F, pairs) -> Series:
@@ -179,7 +169,7 @@ class TestSeries:
 
     @pytest.mark.parametrize("q", KRONECKER_Q)
     def test_mul_matches_naive_convolution(self, q):
-        F = prime_field(q)
+        F = field(q)
         rng = random.Random(q)
         cut = long = zeros = 0
         for _ in range(80):
@@ -228,7 +218,7 @@ class TestSeries:
                 kinds.add(codes[0] if codes else "wide")
 
         for q in KRONECKER_Q:
-            F = prime_field(q)
+            F = field(q)
             rng = random.Random(q + 2)
             for _ in range(60):
                 check(F, [(self.random_series(F, rng), self.random_series(F, rng)) for _ in range(rng.randrange(1, 6))])
@@ -322,7 +312,7 @@ class TestMatrixOps:
     def test_mul_matches_schoolbook(self, q):
         # every entry of a product of n x n matrices (n = 1..5) of short,
         # long and zero-to-precision entries is the dot of a row and a column
-        F = prime_field(q)
+        F = field(q)
         rng = random.Random(q + 3)
         for n in (1, 2, 3, 4, 5):
             A, B = (LoopMatrix(F, [[TestSeries.random_series(F, rng) for _ in range(n)] for _ in range(n)]) for _ in "AB")
@@ -577,6 +567,64 @@ class TestNabla:
         A = M.mul(U)
         assert not nabla_check(A, (1, 2, 5))
         assert nabla_check(A, (2, 0, 2))  # a_1 = a_n restores integrality
+
+    def test_unknown_entry_that_decides_raises(self):
+        # [[2v^4 + O(v^8), O(v^4)], [O(v^2), 4v^-2 + O(v^4)]] over F_5 with
+        # a = (2, 2): the lower-left entry of E is O(v^-1), so neither its
+        # integrality nor its v^0 coefficient, which must vanish, is known
+        F = field(5)
+        A = LoopMatrix(F, [[Series(F, 4, [2], 8), Series.zero(F, 4)], [Series.zero(F, 2), Series(F, -2, [4], 4)]])
+        with pytest.raises(InsufficientPrecisionError, match=r"E\[1\]\[0\]"):
+            nabla_check(A, (2, 2))
+        # two completions of the unknown lower-left entry give both answers
+        for lower_left, want in ((Series.zero(F, 20), True), (Series(F, 2, [1], 20), False)):
+            full = LoopMatrix(F, [[Series(F, 4, [2], 20), Series.zero(F, 20)], [lower_left, Series(F, -2, [4], 20)]])
+            assert nabla_check(full, (2, 2)) is want
+
+    def test_known_failure_decides_before_an_unknown_entry(self):
+        # the false instance with its upper-middle entry known only to
+        # O(v^2): the v^0 coefficient of E[2][1] is then unknown, yet the
+        # pole of E at a_1 != a_n still decides, and at a_1 = a_n it does not
+        F = field(7)
+        M = LoopMatrix.monomial(F, (2, 1, 0), (0, 1, 2), 30)
+        U = LoopMatrix.identity(F, 3, 30)
+        U.rows[2][0] = Series.one(F, 30)
+        A = M.mul(U)
+        A.rows[0][1] = Series.zero(F, 2)
+        assert not nabla_check(A, (1, 2, 5))
+        with pytest.raises(InsufficientPrecisionError, match=r"E\[2\]\[1\]"):
+            nabla_check(A, (2, 0, 2))
+
+    def test_answer_is_the_same_for_every_completion(self):
+        # every unknown tail filled with random coefficients and known far
+        # beyond: a returned answer must not change, or the call raises
+        rng = random.Random(29)
+        returned = compared = 0
+        for trial in range(600):
+            n = 2 + trial % 2
+            F = field(rng.choice([5, 7]))
+            A = TestDecompose._random_matrix(F, n, rng.randrange(4, 14), rng)
+            a = tuple(rng.randrange(F.p) for _ in range(n))
+            try:
+                got = nabla_check(A, a)
+            except ArithmeticError:
+                continue
+            returned += 1
+            for _ in range(3):
+                full = LoopMatrix(
+                    F,
+                    [
+                        [Series(F, e.val, e.coeffs + [0] * (e.prec - e.val - len(e.coeffs)) + [F.rand(rng) for _ in range(8)], e.prec + 40) for e in row]
+                        for row in A.rows
+                    ],
+                )
+                try:
+                    other = nabla_check(full, a)
+                except ArithmeticError:
+                    continue
+                compared += 1
+                assert other == got, (trial, A, a)
+        assert returned > 200 and compared > 2 * returned
 
 
 class TestRowReduce:

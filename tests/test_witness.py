@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from functools import partial
+from math import comb
 
 import pytest
 
 import alcalc.chartsolve as chartsolve
 from alcalc.chartsolve import CVAR, ChartShape, ChartSystem, avar, gf_chart_system, pval_chart_system, vvar
 from alcalc.gf import FElem, field
+from alcalc.mpoly import Poly
 from alcalc.pval import PVal
 from alcalc.rmatrix import PMatrix, VPoly, frobenius_minors_f, nabla_certify
 from alcalc.serre import build_setup, special_pairs
@@ -301,6 +304,25 @@ class TestOneSolvePerChart:
         witness_triple_intersection(setup, t=2)
         assert counts["inits"] >= setup.f
         assert counts["assembles"] == counts["inits"]
+
+
+class TestAssembly:
+    # B and C depend on u and the kind only; two u at n = 5 bound the time
+    CASES = [(n, u) for n in (3, 4) for u in all_perms(n)] + [(5, (4, 3, 2, 1, 0)), (5, (1, 3, 0, 4, 2))]
+
+    @pytest.mark.parametrize("kind", ["extremal", "colength_one"])
+    @pytest.mark.parametrize("scalars", ["gf", "pval"])
+    def test_b_times_c_is_v_plus_p_power(self, kind, scalars):
+        # C is defined by B C = (v+p)^{n-1} I, whatever way it is formed
+        p = 53
+        K = partial(FElem, field(p)) if scalars == "gf" else partial(PVal.of, p=p)
+        for n, u in self.CASES:
+            shape = ChartShape(n=n, p=p, kind=kind, u_perm=u, conj_perm=u, a_vec=(0,) * n)
+            B, C = ChartSystem(shape, K).assemble()
+            power = [Poly.const(K, K(comb(n - 1, d) * p ** (n - 1 - d))).terms for d in range(n)]
+            want = [[power if i == k else [] for k in range(n)] for i in range(n)]
+            got = [[[c.terms for c in e] for e in row] for row in chartsolve._mat_mul(B, C, K)]
+            assert got == want, (n, u)
 
 
 class TestSystemCache:
