@@ -15,9 +15,11 @@ permutation).  The monodromy condition
 translates into polynomial equations on the entry coefficients of V (and
 on c): exact divisibility of N = (v B' + B b) C by (v+p)^{n-2}, where
 B^{-1} = C (v+p)^{-(n-1)}, plus vanishing mod v at the conj-transported
-strictly-lower positions.  The same assembly runs over a finite field
-(special fiber, where the image of p is 0) and over the exact p-valuation
-scalars (integral lifts); the resulting system is solved by the
+strictly-lower positions.  The assembly runs once, over Z: every step is
+a ring operation or a division by the monic v + p, so it commutes with the
+map from Z to a finite field (special fiber, where the image of p is 0) and
+to the exact p-valuation scalars (integral lifts), and the integer system
+is mapped into the field of use.  The resulting system is solved by the
 affine-triangular solver, with c treated as a nonzerodivisor of the
 irreducible chart.
 
@@ -32,72 +34,93 @@ from functools import cached_property, partial
 
 from .gf import GF, FElem
 from .loopmat import LoopMatrix
-from .mpoly import Field, Poly, SolveError, solve_equations
+from .mpoly import Field, Poly, SolveError, _mono_mul, solve_equations
 from .pval import PVal
 from .rmatrix import PMatrix, VPoly
 from .series import Series
 from .weyl import eta_weight, negative_roots, nu_w, perm_act_root, perm_inv, root_is_negative
 
-VPolyP = list  # list[Poly], index = power of v
+VPolyZ = list  # list[dict[Mono, int]], index = power of v; a dict is an integer polynomial
 
 
-def _vp_trim(c: VPolyP) -> VPolyP:
-    while c and c[-1].is_zero():
+def _nonzero(t: dict) -> dict:
+    return {m: c for m, c in t.items() if c}
+
+
+def _add_into(out: dict, x: dict) -> dict:
+    """out += x, leaving zero terms in out"""
+    for m, c in x.items():
+        out[m] = out[m] + c if m in out else c
+    return out
+
+
+def _mul_into(out: dict, x: dict, y: dict) -> dict:
+    """out += x*y, leaving zero terms in out"""
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return out
+
+
+def _scale(x: dict, c: int) -> dict:
+    return {m: cc * c for m, cc in x.items()}
+
+
+def _vp_trim(c: VPolyZ) -> VPolyZ:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def _vp_add(a: VPolyP, b: VPolyP, K) -> VPolyP:
-    n = max(len(a), len(b))
-    za = Poly.zero(K)
-    return _vp_trim([(a[d] if d < len(a) else za) + (b[d] if d < len(b) else za) for d in range(n)])
+def _vp_add(a: VPolyZ, b: VPolyZ) -> VPolyZ:
+    return _fold_add([a, b])
 
 
-def _vp_mul(a: VPolyP, b: VPolyP, K) -> VPolyP:
+def _vp_mul(a: VPolyZ, b: VPolyZ) -> VPolyZ:
     if not a or not b:
         return []
-    out = [Poly.zero(K) for _ in range(len(a) + len(b) - 1)]
+    out: VPolyZ = [{} for _ in range(len(a) + len(b) - 1)]
     for i, pa in enumerate(a):
-        if pa.is_zero():
-            continue
         for j, pb in enumerate(b):
-            if not pb.is_zero():
-                out[i + j] = out[i + j] + pa * pb
-    return _vp_trim(out)
+            _mul_into(out[i + j], pa, pb)
+    return _vp_trim([_nonzero(t) for t in out])
 
 
-def _vp_deriv(a: VPolyP, K) -> VPolyP:
-    return _vp_trim([a[d].scale(K(d)) for d in range(1, len(a))])
+def _vp_deriv(a: VPolyZ) -> VPolyZ:
+    return _vp_trim([_scale(a[d], d) for d in range(1, len(a))])
 
 
-def _vp_shift(a: VPolyP, K) -> VPolyP:
+def _vp_shift(a: VPolyZ) -> VPolyZ:
     """multiply by v"""
-    return [Poly.zero(K)] + list(a)
+    return [{}] + list(a)
 
 
-def _vp_divide_at(a: VPolyP, root, K) -> tuple[VPolyP, Poly]:
+def _vp_divide_at(a: VPolyZ, root: int) -> tuple[VPolyZ, dict]:
     """(quotient, remainder) dividing by the monic linear (v - root)."""
     if not a:
-        return [], Poly.zero(K)
+        return [], {}
     m = len(a) - 1
-    q = [Poly.zero(K)] * m
+    q: VPolyZ = [{}] * m
     run = a[m]
     for d in range(m - 1, -1, -1):
         q[d] = run
-        run = a[d] + run.scale(root)
+        run = _nonzero(_add_into(dict(a[d]), _scale(run, root)))
     return _vp_trim(q), run
 
 
-def _mat_mul(A, B, K):
+def _mat_mul(A, B):
     n = len(A)
-    return [[_vp_trim(_fold_add([_vp_mul(A[i][m], B[m][k], K) for m in range(n)], K)) for k in range(n)] for i in range(n)]
+    return [[_fold_add([_vp_mul(A[i][m], B[m][k]) for m in range(n)]) for k in range(n)] for i in range(n)]
 
 
-def _fold_add(items, K):
-    acc = []
+def _fold_add(items):
+    acc: VPolyZ = []
     for it in items:
-        acc = _vp_add(acc, it, K)
-    return acc
+        acc.extend({} for _ in range(len(it) - len(acc)))
+        for out, t in zip(acc, it):
+            _add_into(out, t)
+    return _vp_trim([_nonzero(t) for t in acc])
 
 
 @dataclass(frozen=True)
@@ -165,8 +188,9 @@ def avar(i: int):
 
 class ChartSystem:
     """The symbolic chart at one embedding over a chosen scalar field: the
-    normal form B and the monodromy equations are built once, here, and
-    the system does not change afterwards.  Only the static data of
+    normal form B and the monodromy equations are built once, here, over Z
+    and then mapped into the field, and the system does not change
+    afterwards.  Only the static data of
     `shape` is read; the monodromy parameter is an argument of `solve`."""
 
     def __init__(self, shape: ChartShape, K: Field):
@@ -174,10 +198,9 @@ class ChartSystem:
         self.K = K
         n = shape.n
         self.vars: list = []
-        self.V: list[list[VPolyP]] = [[[] for _ in range(n)] for _ in range(n)]
-        one = Poly.const(K, K(1))
+        self.V: list[list[VPolyZ]] = [[[] for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            self.V[i][i] = [one]
+            self.V[i][i] = [{(): 1}]
         for beta in negative_roots(n):
             i, k = beta
             bnd = shape.degree_bound(beta)
@@ -185,68 +208,75 @@ class ChartSystem:
             for d in range(bnd + 1):
                 v = vvar(beta, d)
                 self.vars.append(v)
-                ent.append(Poly.var(K, v))
+                ent.append({((v, 1),): 1})
             self.V[i][k] = ent
         if shape.kind == "colength_one":
             self.vars.append(CVAR)
-        self.B, C = self.assemble()
-        self.equations: list[Poly] = self._monodromy_equations(self.B, C)
+        B, C = self.assemble()
+        equations = self._monodromy_equations(B, C)
+        # Every assembly step is a ring operation or a division by the monic
+        # v + p, and both commute with the map Z -> K, so the system is built
+        # once over Z and its coefficients are mapped into K here.
+        def lift(terms: dict) -> Poly:
+            return Poly(K, {m: K(c) for m, c in terms.items()})
 
-    # -- assembly ---------------------------------------------------------
-    def assemble(self) -> tuple[list[list[VPolyP]], list[list[VPolyP]]]:
-        """Returns (B, C) with B the normal form and C = B^{-1} (v+p)^{n-1}.
-        Each constant factor is applied as the row or column operation it
-        is: B = (v+p)^eta V scales row i by (v+p)^{eta_i}, and
-        C = V^{-1} (v+p)^{(n-1) - eta} scales column k of V^{-1}, which is
-        found by forward substitution since V is lower unipotent.  For a
-        colength-one chart, u_{-alpha}(c) s_alpha swaps rows i0 and k0 of B
-        and adds c times row i0 to row k0; on C its inverse swaps columns
-        i0 and k0 and subtracts c times column k0 from column i0."""
-        K = self.K
+        # the leading v-coefficient of a nonzero entry of B has a monomial
+        # with coefficient 1, so no entry gains a trailing zero in K
+        self.B: list[list[list[Poly]]] = [[[lift(c) for c in e] for e in row] for row in B]
+        self.equations: list[Poly] = [e for e in map(lift, equations) if not e.is_zero()]
+
+    # -- assembly over Z ------------------------------------------------------
+    def assemble(self) -> tuple[list[list[VPolyZ]], list[list[VPolyZ]]]:
+        """Returns (B, C) over Z with B the normal form and
+        C = B^{-1} (v+p)^{n-1}.  Each constant factor is applied as the row
+        or column operation it is: B = (v+p)^eta V scales row i by
+        (v+p)^{eta_i}, and C = V^{-1} (v+p)^{(n-1) - eta} scales column k of
+        V^{-1}, which is found by forward substitution since V is lower
+        unipotent.  For a colength-one chart, u_{-alpha}(c) s_alpha swaps
+        rows i0 and k0 of B and adds c times row i0 to row k0; on C its
+        inverse swaps columns i0 and k0 and subtracts c times column k0
+        from column i0."""
         sh = self.shape
         n = sh.n
         V = self.V
         eta = eta_weight(n)
-        one = Poly.const(K, K(1))
+        one = {(): 1}
         vpp = [[one]]  # (v+p)^0, ..., (v+p)^{n-1}
         for _ in range(1, n):
-            vpp.append(_vp_mul(vpp[-1], [Poly.const(K, K(sh.p)), one], K))
-        B = [[_vp_mul(vpp[eta[i]], V[i][k], K) for k in range(n)] for i in range(n)]
+            vpp.append(_vp_mul(vpp[-1], [{(): sh.p}, one]))
+        B = [[_vp_mul(vpp[eta[i]], V[i][k]) for k in range(n)] for i in range(n)]
         Vinv = [[[one] if i == k else [] for k in range(n)] for i in range(n)]
         for i in range(n):
             for k in range(i):
-                Vinv[i][k] = [-x for x in _fold_add([_vp_mul(V[i][m], Vinv[m][k], K) for m in range(k, i)], K)]
-        C = [[_vp_mul(Vinv[i][k], vpp[n - 1 - eta[k]], K) for k in range(n)] for i in range(n)]
+                Vinv[i][k] = [_scale(x, -1) for x in _fold_add([_vp_mul(V[i][m], Vinv[m][k]) for m in range(k, i)])]
+        C = [[_vp_mul(Vinv[i][k], vpp[n - 1 - eta[k]]) for k in range(n)] for i in range(n)]
         if sh.kind == "colength_one":
             i0, k0 = sh.i0, sh.k0
-            c = Poly.var(K, CVAR)
-            B[i0], B[k0] = B[k0], [_vp_add(_vp_mul([c], x, K), y, K) for x, y in zip(B[k0], B[i0])]
+            c = {((CVAR, 1),): 1}
+            B[i0], B[k0] = B[k0], [_vp_add(_vp_mul([c], x), y) for x, y in zip(B[k0], B[i0])]
             for row in C:
-                row[i0], row[k0] = _vp_add(_vp_mul([-c], row[i0], K), row[k0], K), row[i0]
+                row[i0], row[k0] = _vp_add(_vp_mul([_scale(c, -1)], row[i0]), row[k0]), row[i0]
         return B, C
 
-    def _monodromy_equations(self, B, C) -> list[Poly]:
-        K = self.K
+    def _monodromy_equations(self, B, C) -> list[dict]:
         sh = self.shape
         n = sh.n
-        b_diag = [Poly.var(K, avar(perm_inv(sh.conj_perm)[i])) for i in range(n)]
-        vB1 = [[_vp_shift(_vp_deriv(B[i][k], K), K) for k in range(n)] for i in range(n)]
-        Bb = [[[c * b_diag[k] for c in B[i][k]] for k in range(n)] for i in range(n)]
-        M = [[_vp_add(vB1[i][k], Bb[i][k], K) for k in range(n)] for i in range(n)]
-        N = _mat_mul(M, C, K)
-        root = K(-sh.p)
-        eqs: list[Poly] = []
+        b_diag = [{((avar(perm_inv(sh.conj_perm)[i]), 1),): 1} for i in range(n)]
+        vB1 = [[_vp_shift(_vp_deriv(B[i][k])) for k in range(n)] for i in range(n)]
+        Bb = [[[_mul_into({}, c, b_diag[k]) for c in B[i][k]] for k in range(n)] for i in range(n)]
+        M = [[_vp_add(vB1[i][k], Bb[i][k]) for k in range(n)] for i in range(n)]
+        N = _mat_mul(M, C)
+        eqs: list[dict] = []
         flagged = sh.flagged_positions()
         for i in range(n):
             for k in range(n):
                 q = N[i][k]
                 for _ in range(n - 2):
-                    q, rem = _vp_divide_at(q, root, K)
-                    if not rem.is_zero():
+                    q, rem = _vp_divide_at(q, -sh.p)
+                    if rem:
                         eqs.append(rem)
-                if (i, k) in flagged and q:
-                    if not q[0].is_zero():
-                        eqs.append(q[0])
+                if (i, k) in flagged and q and q[0]:
+                    eqs.append(q[0])
         return eqs
 
     # -- solving -------------------------------------------------------------

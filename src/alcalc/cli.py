@@ -120,7 +120,7 @@ def _special_pairs(n: int, f: int):
 def cmd_alcoves_enumerate(cfg, report: Report):
     import math
 
-    n = cfg["n"]
+    n = _n_within(cfg, "alcoves enumerate", 2, 8)
     classes = weyl.restricted_alcove_classes(n)
     report.add(
         "restricted_alcove_count",
@@ -131,7 +131,7 @@ def cmd_alcoves_enumerate(cfg, report: Report):
 
 
 def cmd_alcoves_special(cfg, report: Report):
-    n, f = cfg["n"], cfg["f"]
+    n, f = _n_within(cfg, "alcoves special", 2, 8), cfg["f"]
     count, total, frac = serre.enumerate_special(n, f)
     expected = 1 - Fraction(max(n - 2, 0), n - 1) ** f if n >= 3 else Fraction(0)
     report.add(

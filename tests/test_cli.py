@@ -57,6 +57,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: verify {action} needs {bounds}, got n = {n}\n"
 
+    @pytest.mark.parametrize("action, n", [("enumerate", "9"), ("enumerate", "40"), ("special", "9"), ("special", "40")])
+    def test_alcove_n_above_its_bound_is_one_with_message(self, capsys, action, n):
+        # both loop over all n! permutations: n = 8 takes seconds, n = 9 ten
+        # times as long, so a larger n is refused before any work
+        assert run(["alcoves", action, "--n", n, "--f", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alcoves {action} needs 2 <= n <= 8, got n = {n}\n"
+
     def test_unknown_subcommand_is_one(self, capsys):
         assert run(["verify", "frobnicate"]) == 1
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alcalc.series
 from alcalc.gf import field
@@ -279,6 +281,115 @@ class TestSeries:
         F = field(5)
         assert Series.from_coeffs(F, {0: 2, 3: 1}, 10).is_unit()
         assert not Series.from_coeffs(F, {1: 2}, 10).is_unit()
+
+
+# -- completion oracle -----------------------------------------------------------
+# A series knows its coefficients below `prec` and nothing from there on; a
+# completion fixes the unknown tail.  Completions here are exact Laurent
+# polynomials (dicts degree -> residue): the known window plus a drawn tail.
+
+COMPLETION_Q = [2, 3, 5, 53]
+COMPLETIONS = 3  # drawn per operand
+
+
+@st.composite
+def series(draw, F):
+    val = draw(st.integers(-3, 3))
+    cs = draw(st.lists(st.integers(0, F.q - 1), max_size=6))
+    return Series(F, val, cs, val + len(cs) + draw(st.integers(0, 3)))
+
+
+def completions(data, x):
+    """Exact completions of x: its known window plus a drawn tail at the
+    degrees prec .. prec + 4."""
+    known = {d: x.coeff(d) for d in range(x.val, x.prec)}
+    out = []
+    for _ in range(COMPLETIONS):
+        tail = data.draw(st.lists(st.integers(0, x.F.q - 1), max_size=5))
+        out.append({**known, **{x.prec + i: c for i, c in enumerate(tail)}})
+    return out
+
+
+def exact_dot(q, pairs):
+    out = {}
+    for a, b in pairs:
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = (out.get(i + j, 0) + x * y) % q
+    return out
+
+
+def agrees(r, exact):
+    """Every coefficient r reports, from below both valuations up to its
+    precision, is the coefficient of the exact value."""
+    low = min([*exact, r.val]) - 2
+    return all(r.coeff(d) == exact.get(d, 0) % r.F.q for d in range(low, r.prec))
+
+
+class TestCompletions:
+    """Two properties per entry point: every reported coefficient agrees
+    with every completion of the unknown tails, and every answer is the same
+    for every completion, or else the call raises."""
+
+    @given(st.sampled_from(COMPLETION_Q), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_add(self, q, data):
+        F = field(q)
+        x, y = data.draw(series(F)), data.draw(series(F))
+        r = x.add(y)
+        assert r.prec == min(x.prec, y.prec)
+        for xc, yc in zip(completions(data, x), completions(data, y)):
+            assert agrees(r, exact_dot(q, [(xc, {0: 1}), (yc, {0: 1})]))
+
+    @given(st.sampled_from(COMPLETION_Q), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dot(self, q, count, data):
+        F = field(q)
+        pairs = [(data.draw(series(F)), data.draw(series(F))) for _ in range(count)]
+        r = Series.dot(F, pairs)
+        filled = [list(zip(completions(data, x), completions(data, y))) for x, y in pairs]
+        for k in range(COMPLETIONS):
+            assert agrees(r, exact_dot(q, [f[k] for f in filled]))
+
+    @given(st.sampled_from(COMPLETION_Q), st.integers(-4, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shift(self, q, d, data):
+        F = field(q)
+        x = data.draw(series(F))
+        r = x.shift(d)
+        for xc in completions(data, x):
+            assert agrees(r, {e + d: c for e, c in xc.items()})
+
+    @given(st.sampled_from(COMPLETION_Q), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_derivative(self, q, data):
+        F = field(q)
+        x = data.draw(series(F))
+        r = x.derivative()
+        for xc in completions(data, x):
+            assert agrees(r, {e - 1: e * c for e, c in xc.items()})
+
+    @given(st.sampled_from(COMPLETION_Q), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, q, data):
+        F = field(q)
+        x = data.draw(series(F))
+        try:
+            r = x.inverse()
+        except InsufficientPrecisionError:
+            # only an unknown leading coefficient may raise: then the zero
+            # completion has no inverse while others have one
+            assert x.is_zero()
+            return
+        for xc in completions(data, x):
+            # the answer: every completion is invertible with valuation -val(r)
+            val = min(d for d, c in xc.items() if c % q)
+            assert val == -r.val
+            # xc * r is 1 up to the degree its known window reaches, which
+            # pins r's window to the inverse of xc there
+            known = {d: r.coeff(d) for d in range(r.val, r.prec)}
+            product = exact_dot(q, [(xc, known)])
+            assert all(product.get(d, 0) == (d == 0) for d in range(0, r.prec + val))
 
 
 class TestMatrixOps:

@@ -21,6 +21,7 @@ from alcalc.weyl import (
     eta_weight,
     negative_roots,
     perm_act_vec,
+    perm_inv,
     restricted_lift,
 )
 from alcalc.witness import (
@@ -306,6 +307,109 @@ class TestOneSolvePerChart:
         assert counts["assembles"] == counts["inits"]
 
 
+# -- the field-threaded assembly, kept as the oracle of the integer one ------
+# Each step runs in the scalar field K, on lists of Poly indexed by the power
+# of v, exactly as the chart systems were assembled before the assembly moved
+# to Z.
+
+
+def _ovp_trim(c):
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
+
+
+def _ovp_add(a, b, K):
+    n = max(len(a), len(b))
+    za = Poly.zero(K)
+    return _ovp_trim([(a[d] if d < len(a) else za) + (b[d] if d < len(b) else za) for d in range(n)])
+
+
+def _ovp_mul(a, b, K):
+    if not a or not b:
+        return []
+    out = [Poly.zero(K) for _ in range(len(a) + len(b) - 1)]
+    for i, pa in enumerate(a):
+        if pa.is_zero():
+            continue
+        for j, pb in enumerate(b):
+            if not pb.is_zero():
+                out[i + j] = out[i + j] + pa * pb
+    return _ovp_trim(out)
+
+
+def _ovp_divide_at(a, root, K):
+    if not a:
+        return [], Poly.zero(K)
+    m = len(a) - 1
+    q = [Poly.zero(K)] * m
+    run = a[m]
+    for d in range(m - 1, -1, -1):
+        q[d] = run
+        run = a[d] + run.scale(root)
+    return _ovp_trim(q), run
+
+
+def _ofold_add(items, K):
+    acc = []
+    for it in items:
+        acc = _ovp_add(acc, it, K)
+    return acc
+
+
+def _omat_mul(A, B, K):
+    n = len(A)
+    return [[_ovp_trim(_ofold_add([_ovp_mul(A[i][m], B[m][k], K) for m in range(n)], K)) for k in range(n)] for i in range(n)]
+
+
+def oracle_system(shape, K):
+    """(B, equations) of `shape` assembled over the field K itself."""
+    n = shape.n
+    one = Poly.const(K, K(1))
+    V = [[[one] if i == k else [] for k in range(n)] for i in range(n)]
+    for beta in negative_roots(n):
+        V[beta[0]][beta[1]] = [Poly.var(K, vvar(beta, d)) for d in range(shape.degree_bound(beta) + 1)]
+    eta = eta_weight(n)
+    vpp = [[one]]
+    for _ in range(1, n):
+        vpp.append(_ovp_mul(vpp[-1], [Poly.const(K, K(shape.p)), one], K))
+    B = [[_ovp_mul(vpp[eta[i]], V[i][k], K) for k in range(n)] for i in range(n)]
+    Vinv = [[[one] if i == k else [] for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            Vinv[i][k] = [-x for x in _ofold_add([_ovp_mul(V[i][m], Vinv[m][k], K) for m in range(k, i)], K)]
+    C = [[_ovp_mul(Vinv[i][k], vpp[n - 1 - eta[k]], K) for k in range(n)] for i in range(n)]
+    if shape.kind == "colength_one":
+        i0, k0 = shape.i0, shape.k0
+        c = Poly.var(K, CVAR)
+        B[i0], B[k0] = B[k0], [_ovp_add(_ovp_mul([c], x, K), y, K) for x, y in zip(B[k0], B[i0])]
+        for row in C:
+            row[i0], row[k0] = _ovp_add(_ovp_mul([-c], row[i0], K), row[k0], K), row[i0]
+    b_diag = [Poly.var(K, avar(perm_inv(shape.conj_perm)[i])) for i in range(n)]
+    vB1 = [[[Poly.zero(K)] + _ovp_trim([e[d].scale(K(d)) for d in range(1, len(e))]) for e in row] for row in B]
+    Bb = [[[c * b_diag[k] for c in B[i][k]] for k in range(n)] for i in range(n)]
+    M = [[_ovp_add(vB1[i][k], Bb[i][k], K) for k in range(n)] for i in range(n)]
+    N = _omat_mul(M, C, K)
+    root = K(-shape.p)
+    eqs = []
+    flagged = shape.flagged_positions()
+    for i in range(n):
+        for k in range(n):
+            q = N[i][k]
+            for _ in range(n - 2):
+                q, rem = _ovp_divide_at(q, root, K)
+                if not rem.is_zero():
+                    eqs.append(rem)
+            if (i, k) in flagged and q and not q[0].is_zero():
+                eqs.append(q[0])
+    return B, eqs
+
+
+def _ordered_terms(polys):
+    # term dicts with their order, which the solver's column order follows
+    return [list(c.terms.items()) for c in polys]
+
+
 class TestAssembly:
     # B and C depend on u and the kind only; two u at n = 5 bound the time
     CASES = [(n, u) for n in (3, 4) for u in all_perms(n)] + [(5, (4, 3, 2, 1, 0)), (5, (1, 3, 0, 4, 2))]
@@ -313,16 +417,49 @@ class TestAssembly:
     @pytest.mark.parametrize("kind", ["extremal", "colength_one"])
     @pytest.mark.parametrize("scalars", ["gf", "pval"])
     def test_b_times_c_is_v_plus_p_power(self, kind, scalars):
-        # C is defined by B C = (v+p)^{n-1} I, whatever way it is formed
+        # C is defined by B C = (v+p)^{n-1} I over Z, whatever way it is
+        # formed, and so in its image over each scalar field K
         p = 53
         K = partial(FElem, field(p)) if scalars == "gf" else partial(PVal.of, p=p)
+
+        def lift(e):
+            return _ovp_trim([Poly(K, {m: K(c) for m, c in t.items()}) for t in e])
+
         for n, u in self.CASES:
             shape = ChartShape(n=n, p=p, kind=kind, u_perm=u, conj_perm=u, a_vec=(0,) * n)
             B, C = ChartSystem(shape, K).assemble()
-            power = [Poly.const(K, K(comb(n - 1, d) * p ** (n - 1 - d))).terms for d in range(n)]
-            want = [[power if i == k else [] for k in range(n)] for i in range(n)]
-            got = [[[c.terms for c in e] for e in row] for row in chartsolve._mat_mul(B, C, K)]
-            assert got == want, (n, u)
+            power = [comb(n - 1, d) * p ** (n - 1 - d) for d in range(n)]
+            want = [[[{(): c} for c in power] if i == k else [] for k in range(n)] for i in range(n)]
+            assert chartsolve._mat_mul(B, C) == want, (n, u)
+            power_K = [Poly.const(K, K(c)).terms for c in power]
+            want_K = [[power_K if i == k else [] for k in range(n)] for i in range(n)]
+            BK, CK = ([[lift(e) for e in row] for row in M] for M in (B, C))
+            got_K = [[[c.terms for c in e] for e in row] for row in _omat_mul(BK, CK, K)]
+            assert got_K == want_K, (n, u)
+
+    @pytest.mark.parametrize("kind", ["extremal", "colength_one"])
+    @pytest.mark.parametrize("scalars", ["pval53", "gf53", "gf2", "gf3", "gf5"])
+    def test_lifted_system_equals_the_field_assembly(self, kind, scalars):
+        # the integer system mapped into K is the system assembled over K:
+        # the same B entries and equations, in order, with the same terms in
+        # the same order; over F_2, F_3 and F_5 integer coefficients such as
+        # C(4, 2) = 6, C(3, 1) and the derivative factors d vanish
+        p = int(scalars.lstrip("pvalgf"))
+        K = partial(PVal.of, p=p) if scalars == "pval53" else partial(FElem, field(p))
+        cases = self.CASES if p == 53 else [c for c in self.CASES if c[0] < 5]
+        for n, u in cases:
+            shape = ChartShape(n=n, p=p, kind=kind, u_perm=u, conj_perm=u, a_vec=(0,) * n)
+            system = ChartSystem(shape, K)
+            B, equations = oracle_system(shape, K)
+            assert [[_ordered_terms(e) for e in row] for row in system.B] == [[_ordered_terms(e) for e in row] for row in B], (n, u)
+            if p == 2:
+                # from n = 4 on, a partial sum of a monodromy equation can
+                # vanish mod 2 and gain the term again later: the field
+                # assembly then puts it last, while over Z it keeps its
+                # place, so over F_2 only the terms are compared
+                assert [e.terms for e in system.equations] == [e.terms for e in equations], (n, u)
+            else:
+                assert _ordered_terms(system.equations) == _ordered_terms(equations), (n, u)
 
 
 class TestSystemCache:
