@@ -130,8 +130,16 @@ def cmd_alcoves_enumerate(cfg, report: Report):
     )
 
 
+# `alcoves special` prints its counts and proportion in full; at n = 8 the
+# total (n-1)!^f has 3.7*f digits, so this bound keeps every number of the
+# report below Python's 4,300-digit limit on int-to-string conversion
+SPECIAL_MAX_F = 1000
+
+
 def cmd_alcoves_special(cfg, report: Report):
     n, f = _n_within(cfg, "alcoves special", 2, 8), cfg["f"]
+    if f > SPECIAL_MAX_F:
+        raise ConfigError(f"alcoves special needs 1 <= --f <= {SPECIAL_MAX_F}, got --f {f}")
     count, total, frac = serre.enumerate_special(n, f)
     expected = 1 - Fraction(max(n - 2, 0), n - 1) ** f if n >= 3 else Fraction(0)
     report.add(

@@ -88,6 +88,10 @@ class Series:
         return self.coeffs[d - self.val]
 
     def is_unit(self) -> bool:
+        """Whether the constant term is a unit; a series zero to precision
+        <= 0 does not know its constant term, so that raises."""
+        if not self.coeffs and self.prec <= 0:
+            raise InsufficientPrecisionError(f"unit test of O(v^{self.prec}): constant term unknown")
         return bool(self.coeffs) and self.val == 0
 
     def __eq__(self, other: object) -> bool:

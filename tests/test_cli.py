@@ -66,6 +66,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: alcoves {action} needs 2 <= n <= 8, got n = {n}\n"
 
+    @pytest.mark.parametrize("n, f", [("3", "20000"), ("8", "1001"), ("4", "10000000000")])
+    def test_special_f_above_its_bound_is_one_with_message(self, capsys, n, f):
+        # the proportion is printed in full, so a larger f would outgrow
+        # Python's int-to-string limit after unbounded big-integer powers
+        assert run(["alcoves", "special", "--n", n, "--f", f]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alcoves special needs 1 <= --f <= 1000, got --f {f}\n"
+
+    def test_special_f_bound_from_config_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 3, "f": 1001}))
+        assert run(["alcoves", "special", "--config", str(cfgfile)]) == 1
+        assert "--f" in capsys.readouterr().err
+
+    def test_special_f_at_its_bound_runs(self, capsys):
+        code, out = run_cli(["alcoves", "special", "--n", "5", "--f", "1000"], capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_unknown_subcommand_is_one(self, capsys):
         assert run(["verify", "frobnicate"]) == 1
 

@@ -7,7 +7,9 @@ Regenerate the files (only when a report change is intended) with
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from alcalc.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 CASES = {
     "alcoves_enumerate.json": ["alcoves", "enumerate", "--n", "4"],
@@ -52,6 +55,36 @@ def test_report_bytes_match_golden(name):
     code, payload = _emit(CASES[name])
     assert code == 0
     assert payload == (GOLDEN / name).read_bytes()
+
+
+# one golden argv per subcommand, witness and predicates included
+PER_SUBCOMMAND = (
+    "alcoves_enumerate.json",
+    "alcoves_special.json",
+    "shapes_classify.json",
+    "setup_build.json",
+    "verify_weyl.json",
+    "verify_minors.json",
+    "verify_z.json",
+    "verify_partition.json",
+    "verify_nabla.json",
+    "verify_bruhat.json",
+    "witness_triple.json",
+    "predicates_fi.json",
+)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_report_bytes_stable_across_hash_seeds(seed):
+    # the iteration order of a set of strings changes with the hash seed;
+    # a fresh CLI process per argv must still print the golden bytes
+    assert {argv[0] + " " + argv[1] for argv in map(CASES.get, PER_SUBCOMMAND)} == {
+        argv[0] + " " + argv[1] for argv in CASES.values()
+    }
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for name in PER_SUBCOMMAND:
+        proc = subprocess.run([sys.executable, "-m", "alcalc.cli", *CASES[name]], capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, (GOLDEN / name).read_bytes()), name
 
 
 if __name__ == "__main__":

@@ -282,6 +282,16 @@ class TestSeries:
         assert Series.from_coeffs(F, {0: 2, 3: 1}, 10).is_unit()
         assert not Series.from_coeffs(F, {1: 2}, 10).is_unit()
 
+    def test_unit_detection_needs_the_constant_term(self):
+        # O(v^0) is completed by 1 + O(v), a unit, and by O(v), which is
+        # not: the test raises; O(v^k) for k >= 1 has constant term 0
+        F = field(5)
+        for prec in (0, -2):
+            with pytest.raises(InsufficientPrecisionError):
+                Series.zero(F, prec).is_unit()
+        for prec in (1, 4):
+            assert not Series.zero(F, prec).is_unit()
+
 
 # -- completion oracle -----------------------------------------------------------
 # A series knows its coefficients below `prec` and nothing from there on; a
@@ -390,6 +400,20 @@ class TestCompletions:
             known = {d: r.coeff(d) for d in range(r.val, r.prec)}
             product = exact_dot(q, [(xc, known)])
             assert all(product.get(d, 0) == (d == 0) for d in range(0, r.prec + val))
+
+    @given(st.sampled_from(COMPLETION_Q), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_is_unit(self, q, data):
+        F = field(q)
+        x = data.draw(series(F))
+        try:
+            got = x.is_unit()
+        except InsufficientPrecisionError:
+            # only an unknown constant term may raise
+            assert x.is_zero() and x.prec <= 0
+            return
+        for xc in completions(data, x):
+            assert got == (min((d for d, c in xc.items() if c % q), default=None) == 0)
 
 
 class TestMatrixOps:
