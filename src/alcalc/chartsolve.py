@@ -15,11 +15,12 @@ permutation).  The monodromy condition
 translates into polynomial equations on the entry coefficients of V (and
 on c): exact divisibility of N = (v B' + B b) C by (v+p)^{n-2}, where
 B^{-1} = C (v+p)^{-(n-1)}, plus vanishing mod v at the conj-transported
-strictly-lower positions.  The assembly runs once, over Z: every step is
-a ring operation or a division by the monic v + p, so it commutes with the
-map from Z to a finite field (special fiber, where the image of p is 0) and
-to the exact p-valuation scalars (integral lifts), and the integer system
-is mapped into the field of use.  The resulting system is solved by the
+strictly-lower positions.  The assembly runs once, over Z, on the term
+kernel of `mpoly` with int coefficients: every step is a ring operation or
+a division by the monic v + p, so it commutes with the map from Z to a
+finite field (special fiber, where the image of p is 0) and to the exact
+p-valuation scalars (integral lifts), and the integer system is mapped
+into the field of use.  The resulting system is solved by the
 affine-triangular solver, with c treated as a nonzerodivisor of the
 irreducible chart.
 
@@ -34,7 +35,7 @@ from functools import cached_property, partial
 
 from .gf import GF, FElem
 from .loopmat import LoopMatrix
-from .mpoly import Field, Poly, SolveError, _mono_mul, solve_equations
+from .mpoly import Field, Poly, SolveError, add_into, mul_into, scale_terms, solve_equations
 from .pval import PVal
 from .rmatrix import PMatrix, VPoly
 from .series import Series
@@ -45,26 +46,6 @@ VPolyZ = list  # list[dict[Mono, int]], index = power of v; a dict is an integer
 
 def _nonzero(t: dict) -> dict:
     return {m: c for m, c in t.items() if c}
-
-
-def _add_into(out: dict, x: dict) -> dict:
-    """out += x, leaving zero terms in out"""
-    for m, c in x.items():
-        out[m] = out[m] + c if m in out else c
-    return out
-
-
-def _mul_into(out: dict, x: dict, y: dict) -> dict:
-    """out += x*y, leaving zero terms in out"""
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            m = _mono_mul(m1, m2)
-            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-    return out
-
-
-def _scale(x: dict, c: int) -> dict:
-    return {m: cc * c for m, cc in x.items()}
 
 
 def _vp_trim(c: VPolyZ) -> VPolyZ:
@@ -83,12 +64,12 @@ def _vp_mul(a: VPolyZ, b: VPolyZ) -> VPolyZ:
     out: VPolyZ = [{} for _ in range(len(a) + len(b) - 1)]
     for i, pa in enumerate(a):
         for j, pb in enumerate(b):
-            _mul_into(out[i + j], pa, pb)
+            mul_into(out[i + j], pa, pb)
     return _vp_trim([_nonzero(t) for t in out])
 
 
 def _vp_deriv(a: VPolyZ) -> VPolyZ:
-    return _vp_trim([_scale(a[d], d) for d in range(1, len(a))])
+    return _vp_trim([scale_terms(a[d], d) for d in range(1, len(a))])
 
 
 def _vp_shift(a: VPolyZ) -> VPolyZ:
@@ -105,7 +86,7 @@ def _vp_divide_at(a: VPolyZ, root: int) -> tuple[VPolyZ, dict]:
     run = a[m]
     for d in range(m - 1, -1, -1):
         q[d] = run
-        run = _nonzero(_add_into(dict(a[d]), _scale(run, root)))
+        run = _nonzero(add_into(dict(a[d]), scale_terms(run, root)))
     return _vp_trim(q), run
 
 
@@ -119,7 +100,7 @@ def _fold_add(items):
     for it in items:
         acc.extend({} for _ in range(len(it) - len(acc)))
         for out, t in zip(acc, it):
-            _add_into(out, t)
+            add_into(out, t)
     return _vp_trim([_nonzero(t) for t in acc])
 
 
@@ -248,14 +229,14 @@ class ChartSystem:
         Vinv = [[[one] if i == k else [] for k in range(n)] for i in range(n)]
         for i in range(n):
             for k in range(i):
-                Vinv[i][k] = [_scale(x, -1) for x in _fold_add([_vp_mul(V[i][m], Vinv[m][k]) for m in range(k, i)])]
+                Vinv[i][k] = [scale_terms(x, -1) for x in _fold_add([_vp_mul(V[i][m], Vinv[m][k]) for m in range(k, i)])]
         C = [[_vp_mul(Vinv[i][k], vpp[n - 1 - eta[k]]) for k in range(n)] for i in range(n)]
         if sh.kind == "colength_one":
             i0, k0 = sh.i0, sh.k0
             c = {((CVAR, 1),): 1}
             B[i0], B[k0] = B[k0], [_vp_add(_vp_mul([c], x), y) for x, y in zip(B[k0], B[i0])]
             for row in C:
-                row[i0], row[k0] = _vp_add(_vp_mul([_scale(c, -1)], row[i0]), row[k0]), row[i0]
+                row[i0], row[k0] = _vp_add(_vp_mul([scale_terms(c, -1)], row[i0]), row[k0]), row[i0]
         return B, C
 
     def _monodromy_equations(self, B, C) -> list[dict]:
@@ -263,7 +244,7 @@ class ChartSystem:
         n = sh.n
         b_diag = [{((avar(perm_inv(sh.conj_perm)[i]), 1),): 1} for i in range(n)]
         vB1 = [[_vp_shift(_vp_deriv(B[i][k])) for k in range(n)] for i in range(n)]
-        Bb = [[[_mul_into({}, c, b_diag[k]) for c in B[i][k]] for k in range(n)] for i in range(n)]
+        Bb = [[[mul_into({}, c, b_diag[k]) for c in B[i][k]] for k in range(n)] for i in range(n)]
         M = [[_vp_add(vB1[i][k], Bb[i][k]) for k in range(n)] for i in range(n)]
         N = _mat_mul(M, C)
         eqs: list[dict] = []

@@ -1,29 +1,68 @@
 """
-Small multivariate polynomials over a pluggable exact field, used to pose
+Small multivariate polynomials over a pluggable exact ring, used to pose
 monodromy conditions on chart coefficients symbolically and to extract
-coefficients of specific monomials.
+coefficients of specific monomials.  This module is the one home of
+polynomial arithmetic: the canonical monomial and the term kernel
+(`add_into`, `mul_into`, `scale_terms`) serve `Poly` over a field and the
+chart assembly of `chartsolve` over Z alike.
 
 Coefficients are objects supporting +, -, *, unary -, inverse() and
-is_zero().  A field K is the one-argument constructor of its scalars: K(m)
-is the image of the integer m, so K(0) and K(1) are its constants
+is_zero() (the term kernel needs only + and *, so plain ints do too).  A
+field K is the one-argument constructor of its scalars: K(m) is the image
+of the integer m, so K(0) and K(1) are its constants
 (functools.partial(FElem, F) over F_p, partial(PVal.of, p=p) over the
-p-valuation scalars).  Monomials are sorted tuples of (variable,
-exponent); variables are arbitrary hashable labels.
+p-valuation scalars).  A monomial is a tuple of (variable, exponent) pairs
+with nonzero exponents and variables sorted by repr, which orders any mix
+of hashable labels (the chart's "c" and its ("V", ...) tuples) the same
+way on every run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Iterable
 
 Mono = tuple[tuple[object, int], ...]
 Field = Callable[[int], object]
+
+
+def _order(term: tuple[object, int]):
+    """Sort key of a (variable, exponent) pair: the variable's repr first."""
+    return repr(term[0]), term[1]
+
+
+def _mono(pairs: Iterable[tuple[object, int]]) -> Mono:
+    """The canonical monomial of (variable, exponent) pairs with distinct
+    variables."""
+    return tuple(sorted(((v, e) for v, e in pairs if e), key=_order))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     d = dict(a)
     for v, e in b:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in d.items() if e), key=lambda t: repr(t[0])))
+    return _mono(d.items())
+
+
+def add_into(out: dict, x: dict) -> dict:
+    """out += x on {monomial: coefficient} dicts, leaving zero terms in out."""
+    for m, c in x.items():
+        out[m] = out[m] + c if m in out else c
+    return out
+
+
+def mul_into(out: dict, x: dict, y: dict) -> dict:
+    """out += x*y on {monomial: coefficient} dicts, leaving zero terms in out."""
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return out
+
+
+def scale_terms(x: dict, c) -> dict:
+    """x*c for a scalar c, term by term."""
+    return {m: cc * c for m, cc in x.items()}
 
 
 class Poly:
@@ -60,7 +99,7 @@ class Poly:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def coefficient_of(self, mono: Mono):
-        return self.terms.get(tuple(sorted(mono, key=lambda t: repr(t[0]))), self.K(0))
+        return self.terms.get(_mono(mono), self.K(0))
 
     def is_affine(self) -> bool:
         return self.total_degree() <= 1
@@ -75,10 +114,7 @@ class Poly:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return Poly(self.K, out)
+        return Poly(self.K, add_into(dict(self.terms), o.terms))
 
     def __neg__(self) -> "Poly":
         return Poly(self.K, {m: -c for m, c in self.terms.items()})
@@ -87,19 +123,14 @@ class Poly:
         return self + (-o)
 
     def __mul__(self, o: "Poly") -> "Poly":
-        out: dict[Mono, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return Poly(self.K, out)
+        return Poly(self.K, mul_into({}, self.terms, o.terms))
 
     def scale(self, c) -> "Poly":
-        return Poly(self.K, {m: cc * c for m, cc in self.terms.items()})
+        return Poly(self.K, scale_terms(self.terms, c))
 
     def substitute(self, assign: dict) -> "Poly":
-        """Replace variables by field values."""
+        """Replace variables by field values.  The pairs left in a monomial
+        keep their order, so the result is canonical as it stands."""
         out: dict[Mono, object] = {}
         for m, c in self.terms.items():
             rest = []
@@ -109,37 +140,25 @@ class Poly:
                         c = c * assign[v]
                 else:
                     rest.append((v, e))
-            key = tuple(sorted(rest, key=lambda t: repr(t[0])))
+            key = tuple(rest)
             out[key] = out[key] + c if key in out else c
         return Poly(self.K, out)
 
-    def min_power_of(self, var) -> int:
-        """Largest k with var^k dividing every monomial (0 if none)."""
-        if not self.terms:
-            return 0
-        k = None
+    def divide_by_var_power(self, var) -> "Poly":
+        """self / var^k for the largest k with var^k dividing every
+        monomial; self when k = 0."""
+        k = math.inf
         for m in self.terms:
-            e = dict(m).get(var, 0)
-            k = e if k is None else min(k, e)
-            if k == 0:
-                return 0
-        return k or 0
-
-    def divide_by_var_power(self, var, k: int) -> "Poly":
-        out = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            d[var] = d.get(var, 0) - k
-            if d[var] < 0:
-                raise ValueError("not divisible")
-            out[tuple(sorted(((v, e) for v, e in d.items() if e), key=lambda t: repr(t[0])))] = c
-        return Poly(self.K, out)
+            k = min(k, dict(m).get(var, 0))
+            if not k:
+                return self
+        return Poly(self.K, {_mono((v, e - k if v == var else e) for v, e in m): c for m, c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
+        for m, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), [_order(x) for x in t[0]])):
             mono = "*".join(f"{v}^{e}" if e > 1 else f"{v}" for v, e in m)
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
@@ -175,34 +194,29 @@ def solve_equations(K: Field, equations: list[Poly], nonzerodivisor=None):
             if e.is_constant():
                 raise SolveError(f"inconsistent system: constant equation {e!r}")
             if nonzerodivisor is not None:
-                k = e.min_power_of(nonzerodivisor)
-                if k and nonzerodivisor not in solved:
-                    e = e.divide_by_var_power(nonzerodivisor, k)
-                    if e.is_zero():
-                        continue
-                    if e.is_constant():
-                        raise SolveError("inconsistent after dividing a nonzerodivisor")
+                # a solved nonzerodivisor was substituted away above, so it divides nothing
+                e = e.divide_by_var_power(nonzerodivisor)
+                if e.is_constant():
+                    raise SolveError("inconsistent after dividing a nonzerodivisor")
             nxt.append(e)
         eqs = nxt
         if not eqs:
             return solved
-        affine = [e for e in eqs if e.is_affine()]
+        affine = [e.as_affine() for e in eqs if e.is_affine()]
         if not affine:
             raise SolveError(f"stuck: no affine equation among {len(eqs)} remaining, e.g. {eqs[0]!r}")
         # Gaussian elimination on the affine subsystem; a variable is
         # determined when its reduced row involves no other variable.
         cols: list = []
         seen = set()
-        for e in affine:
-            _, lin = e.as_affine()
+        for _, lin in affine:
             for v in lin:
                 if v not in seen:
                     seen.add(v)
                     cols.append(v)
         colidx = {v: i for i, v in enumerate(cols)}
         rows = []
-        for e in affine:
-            const, lin = e.as_affine()
+        for const, lin in affine:
             row = [K(0)] * len(cols)
             for v, c in lin.items():
                 row[colidx[v]] = c

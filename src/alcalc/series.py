@@ -94,20 +94,6 @@ class Series:
             raise InsufficientPrecisionError(f"unit test of O(v^{self.prec}): constant term unknown")
         return bool(self.coeffs) and self.val == 0
 
-    def __eq__(self, other: object) -> bool:
-        """Equality of the overlapping known window (pessimistic)."""
-        if not isinstance(other, Series):
-            return NotImplemented
-        p = min(self.prec, other.prec)
-        lo = min(self.val, other.val)
-        for d in range(lo, p):
-            if self.coeff(d) != other.coeff(d):
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("Series is unhashable (precision-windowed equality)")
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return f"O(v^{self.prec})"
@@ -135,9 +121,6 @@ class Series:
     def neg(self) -> "Series":
         q = self.F.q
         return Series(self.F, self.val, [-c % q for c in self.coeffs], self.prec)
-
-    def sub(self, other: "Series") -> "Series":
-        return self.add(other.neg())
 
     def mul(self, other: "Series") -> "Series":
         return Series.dot(self.F, ((self, other),))

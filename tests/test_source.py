@@ -1,6 +1,8 @@
 """Source checks: no invariant check in the package may vanish under
 python -O, so the package has no assert statements and raises no
-AssertionError (the CLI would also print those as tracebacks); and every
+AssertionError (the CLI would also print those as tracebacks); no module
+imports a private (underscore) name of another package module, so each
+module's private names are its own; and every
 function, class and method the package defines is reached from what the
 package is for: its module-level code (the CLI's handler table), the
 paper's acceptance criteria (tests/test_acceptance.py), or a traced
@@ -52,6 +54,29 @@ def test_detector_sees_both_forms():
         "raise AssertionError",
         "raise AssertionError",
     ]
+
+
+def _private_imports(tree):
+    """(line, name) of every underscore name imported from a package
+    module: a relative import or one from `alcalc`, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "alcalc"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not _special(alias.name):
+                    yield node.lineno, alias.name
+
+
+def test_no_private_imports_across_modules():
+    found = [f"{path.name}: {name}" for path in SOURCES for _, name in _private_imports(_parse(path))]
+    assert found == []
+
+
+def test_private_import_detector():
+    src = (
+        "from .mpoly import Poly, _mono_mul\nfrom alcalc.gf import _x as y\nfrom os import _exit\n"
+        "from . import __version__\ndef f():\n    from ..series import _SLOTS\n"
+    )
+    assert list(_private_imports(ast.parse(src))) == [(1, "_mono_mul"), (2, "_x"), (6, "_SLOTS")]
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

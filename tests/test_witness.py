@@ -10,7 +10,7 @@ import pytest
 import alcalc.chartsolve as chartsolve
 from alcalc.chartsolve import CVAR, ChartShape, ChartSystem, avar, gf_chart_system, pval_chart_system, vvar
 from alcalc.gf import FElem, field
-from alcalc.mpoly import Poly
+from alcalc.mpoly import Poly, SolveError, solve_equations
 from alcalc.pval import PVal
 from alcalc.rmatrix import PMatrix, VPoly, frobenius_minors_f, nabla_certify
 from alcalc.serre import build_setup, special_pairs
@@ -460,6 +460,40 @@ class TestAssembly:
                 assert [e.terms for e in system.equations] == [e.terms for e in equations], (n, u)
             else:
                 assert _ordered_terms(system.equations) == _ordered_terms(equations), (n, u)
+
+
+class TestMonomialOrder:
+    # monomials that mix the chart variable c (a str) with V variables
+    # (tuples): variables sort by repr, which orders the two kinds alike
+    K = partial(FElem, field(5))
+    C, V10, V20 = CVAR, vvar((1, 0), 0), vvar((2, 0), 0)
+
+    def var(self, v):
+        return Poly.var(self.K, v)
+
+    def test_repr_of_mixed_variables(self):
+        assert repr(self.var(self.C) + self.var(self.V10)) == "(1)*c + (1)*('V', 1, 0, 0)"
+
+    def test_stuck_solve_names_the_equation(self):
+        c, v10, v20 = map(self.var, (self.C, self.V10, self.V20))
+        eq = c * v10 + v10 * v20
+        with pytest.raises(SolveError, match="^stuck: no affine equation") as info:
+            solve_equations(self.K, [eq])
+        assert repr(eq) in str(info.value)
+
+    def test_substitute_leaves_canonical_monomials(self):
+        c, v10, v20 = map(self.var, (self.C, self.V10, self.V20))
+        got = (c * v10 * v20).substitute({self.V10: self.K(2)})
+        assert got.terms == (c * v20).scale(self.K(2)).terms
+        assert got.coefficient_of(((self.V20, 1), (self.C, 1))).a == 2
+
+    def test_nonzerodivisor_power_divided_out(self):
+        c, v10 = self.var(self.C), self.var(self.V10)
+        # c^2 (V10 - 3) = 0 with c a nonzerodivisor determines V10
+        eq = c * c * (v10 - Poly.const(self.K, self.K(3)))
+        assert {v: x.a for v, x in solve_equations(self.K, [eq], nonzerodivisor=self.C).items()} == {self.V10: 3}
+        with pytest.raises(SolveError, match="inconsistent after dividing"):
+            solve_equations(self.K, [c * c], nonzerodivisor=self.C)
 
 
 class TestSystemCache:
