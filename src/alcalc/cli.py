@@ -375,7 +375,7 @@ def cmd_witness_triple(cfg, report: Report):
 
 def cmd_predicates_fi(cfg, report: Report):
     rng = random.Random(cfg["seed"])
-    n, f, p = cfg["n"], cfg["f"], cfg["p"]
+    n, f, p = _n_within(cfg, "predicates fi", 2, 8), cfg["f"], cfg["p"]
     bad = None
     done = 0
     for _ in range(cfg["trials"]):

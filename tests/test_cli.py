@@ -66,6 +66,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: alcoves {action} needs 2 <= n <= 8, got n = {n}\n"
 
+    @pytest.mark.parametrize("n", ["9", "40"])
+    def test_predicates_n_above_its_bound_is_one_with_message(self, capsys, n):
+        # each draw lists all n! permutations: n = 8 with 10 trials takes
+        # seconds, n = 11 with one trial half a minute
+        assert run(["predicates", "fi", "--n", n, "--f", "1", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: predicates fi needs 2 <= n <= 8, got n = {n}\n"
+
     @pytest.mark.parametrize("n, f", [("3", "20000"), ("8", "1001"), ("4", "10000000000")])
     def test_special_f_above_its_bound_is_one_with_message(self, capsys, n, f):
         # the proportion is printed in full, so a larger f would outgrow

@@ -285,26 +285,30 @@ class TestOneSolvePerChart:
 
     @pytest.mark.parametrize("make_setup", [setup_n3, _f2_setup, _n4_setup])
     def test_each_system_assembled_once(self, monkeypatch, make_setup):
-        # realizations read the normal form stored at construction, so from
-        # an empty cache a witness assembles once per system it builds
-        setup = make_setup()
-        counts = {"assembles": 0, "inits": 0}
+        # every prime and field shares the one system over Z[p] of a static
+        # shape: from empty caches, witnesses at two primes build systems
+        # over F_p and PVal at both, and assemble once per static shape
+        built = []
+        calls = []
         assemble, init = ChartSystem.assemble, ChartSystem.__init__
 
-        def counting_assemble(self):
-            counts["assembles"] += 1
-            return assemble(self)
+        def counting_assemble(*static):
+            calls.append(static)
+            return assemble(*static)
 
-        def counting_init(self, *args):
-            counts["inits"] += 1
-            init(self, *args)
+        def counting_init(self, shape, K):
+            built.append((shape.n, shape.kind, shape.u_perm, shape.conj_perm, shape.p, type(K(0))))
+            init(self, shape, K)
 
+        chartsolve._system_over_zp.cache_clear()
         monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
-        monkeypatch.setattr(ChartSystem, "assemble", counting_assemble)
+        monkeypatch.setattr(ChartSystem, "assemble", staticmethod(counting_assemble))
         monkeypatch.setattr(ChartSystem, "__init__", counting_init)
-        witness_triple_intersection(setup, t=2)
-        assert counts["inits"] >= setup.f
-        assert counts["assembles"] == counts["inits"]
+        for p in (53, 59):
+            witness_triple_intersection(make_setup(p), t=2)
+        by_prime = {p: {b[:4] for b in built if b[4] == p} for p in (53, 59)}
+        assert by_prime[53] == by_prime[59] and {b[5] for b in built} == {FElem, PVal}
+        assert sorted(calls) == sorted(by_prime[53])
 
 
 # -- the field-threaded assembly, kept as the oracle of the integer one ------
@@ -405,14 +409,26 @@ def oracle_system(shape, K):
     return B, eqs
 
 
+def _assembled_at(shape, K):
+    """(B, equations) of the integer assembly run at shape.p itself and
+    mapped into K, dropping the equations whose image is zero."""
+    _, B, _, equations = chartsolve._assemble_at(shape)
+
+    def lift(terms):
+        return Poly(K, {m: K(c) for m, c in terms.items()})
+
+    return [[[lift(c) for c in e] for e in row] for row in B], [e for e in map(lift, equations) if not e.is_zero()]
+
+
 def _ordered_terms(polys):
     # term dicts with their order, which the solver's column order follows
     return [list(c.terms.items()) for c in polys]
 
 
 class TestAssembly:
-    # B and C depend on u and the kind only; two u at n = 5 bound the time
+    # B and C depend on u and the kind only; four u at n = 5 bound the time
     CASES = [(n, u) for n in (3, 4) for u in all_perms(n)] + [(5, (4, 3, 2, 1, 0)), (5, (1, 3, 0, 4, 2))]
+    CASES += [(5, u) for u in random.Random(5).sample(all_perms(5), 2)]
 
     @pytest.mark.parametrize("kind", ["extremal", "colength_one"])
     @pytest.mark.parametrize("scalars", ["gf", "pval"])
@@ -427,7 +443,7 @@ class TestAssembly:
 
         for n, u in self.CASES:
             shape = ChartShape(n=n, p=p, kind=kind, u_perm=u, conj_perm=u, a_vec=(0,) * n)
-            B, C = ChartSystem(shape, K).assemble()
+            _, B, C, _ = chartsolve._assemble_at(shape)
             power = [comb(n - 1, d) * p ** (n - 1 - d) for d in range(n)]
             want = [[[{(): c} for c in power] if i == k else [] for k in range(n)] for i in range(n)]
             assert chartsolve._mat_mul(B, C) == want, (n, u)
@@ -438,28 +454,61 @@ class TestAssembly:
             assert got_K == want_K, (n, u)
 
     @pytest.mark.parametrize("kind", ["extremal", "colength_one"])
-    @pytest.mark.parametrize("scalars", ["pval53", "gf53", "gf2", "gf3", "gf5"])
+    @pytest.mark.parametrize("scalars", [f"{k}{p}" for k in ("pval", "gf") for p in (2, 3, 5, 7, 53, 101, 2**31 - 1)])
     def test_lifted_system_equals_the_field_assembly(self, kind, scalars):
-        # the integer system mapped into K is the system assembled over K:
-        # the same B entries and equations, in order, with the same terms in
-        # the same order; over F_2, F_3 and F_5 integer coefficients such as
-        # C(4, 2) = 6, C(3, 1) and the derivative factors d vanish
+        # the system over Z[p] specialised at p and mapped into K is both
+        # the integer assembly run at p and mapped into K, and the system
+        # assembled over K: the same B entries and equations, in order, with
+        # the same terms in the same order; over F_2, F_3 and F_5 integer
+        # coefficients such as C(4, 2) = 6, C(3, 1) and the derivative
+        # factors d vanish
         p = int(scalars.lstrip("pvalgf"))
-        K = partial(PVal.of, p=p) if scalars == "pval53" else partial(FElem, field(p))
-        cases = self.CASES if p == 53 else [c for c in self.CASES if c[0] < 5]
-        for n, u in cases:
+        K = partial(PVal.of, p=p) if scalars.startswith("pval") else partial(FElem, field(p))
+        for n, u in self.CASES:
             shape = ChartShape(n=n, p=p, kind=kind, u_perm=u, conj_perm=u, a_vec=(0,) * n)
             system = ChartSystem(shape, K)
+            got = [[_ordered_terms(e) for e in row] for row in system.B], _ordered_terms(system.equations)
+            B, equations = _assembled_at(shape, K)
+            assert got == ([[_ordered_terms(e) for e in row] for row in B], _ordered_terms(equations)), (n, u)
             B, equations = oracle_system(shape, K)
-            assert [[_ordered_terms(e) for e in row] for row in system.B] == [[_ordered_terms(e) for e in row] for row in B], (n, u)
-            if p == 2:
-                # from n = 4 on, a partial sum of a monodromy equation can
-                # vanish mod 2 and gain the term again later: the field
-                # assembly then puts it last, while over Z it keeps its
-                # place, so over F_2 only the terms are compared
+            assert got[0] == [[_ordered_terms(e) for e in row] for row in B], (n, u)
+            if scalars in ("gf2", "gf3"):
+                # from n = 4 on over F_2 and at n = 5 over F_3, a partial
+                # sum of a monodromy equation can vanish mod p and gain the
+                # term again later: the field assembly then puts it last,
+                # while over Z it keeps its place, so over F_2 and F_3 only
+                # the terms are compared
                 assert [e.terms for e in system.equations] == [e.terms for e in equations], (n, u)
             else:
-                assert _ordered_terms(system.equations) == _ordered_terms(equations), (n, u)
+                assert got[1] == _ordered_terms(equations), (n, u)
+
+
+class TestRadixGuard:
+    def test_too_small_a_radix_raises(self, monkeypatch):
+        # at the radix 2^4 the digits of the systems at n = 4 (up to 9) no
+        # longer decode: the bound check must refuse them, and a system it
+        # lets through (n = 3, digits up to 2) must still be exact
+        K = partial(PVal.of, p=53)
+        monkeypatch.setattr(chartsolve, "RADIX", 1 << 4)
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
+        chartsolve._system_over_zp.cache_clear()
+        refused = set()
+        try:
+            for n, u in [c for c in TestAssembly.CASES if c[0] < 5]:
+                for kind in ("extremal", "colength_one"):
+                    shape = ChartShape(n=n, p=53, kind=kind, u_perm=u, conj_perm=u, a_vec=(0,) * n)
+                    try:
+                        system = ChartSystem(shape, K)
+                    except ArithmeticError as exc:
+                        assert "too large for the radix 16" in str(exc)
+                        refused.add(n)
+                        continue
+                    B, equations = _assembled_at(shape, K)
+                    assert [[_ordered_terms(e) for e in row] for row in system.B] == [[_ordered_terms(e) for e in row] for row in B]
+                    assert _ordered_terms(system.equations) == _ordered_terms(equations)
+        finally:
+            chartsolve._system_over_zp.cache_clear()
+        assert refused == {4}
 
 
 class TestMonomialOrder:
@@ -574,13 +623,62 @@ class TestSystemCache:
         assert errors == []
 
     def test_new_prime_evicts_the_old_prime(self, monkeypatch):
+        # the eviction drops the systems of the old prime, not the system
+        # over Z[p] that they and the new prime's share
         cache = {}
         monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", cache)
-        pval_chart_system(self._shape(53))
+        old = pval_chart_system(self._shape(53))
         gf_chart_system(self._shape(53), field(53))
         assert len(cache) == 2 and {key[2] for key in cache} == {53}
-        pval_chart_system(self._shape(59))
+        misses = chartsolve._system_over_zp.cache_info().misses
+        new = pval_chart_system(self._shape(59))
         assert len(cache) == 1 and {key[2] for key in cache} == {59}
+        assert chartsolve._system_over_zp.cache_info().misses == misses
+        assert new.vars is old.vars
+
+    def test_threads_missing_one_shape_at_two_primes(self, monkeypatch):
+        # threads that alternate two primes on one shape keep evicting each
+        # other's systems, and each build must equal the serial one
+        import sys
+        import threading
+
+        def snapshot(system):
+            return system.vars, [[_ordered_terms(e) for e in row] for row in system.B], _ordered_terms(system.equations)
+
+        jobs = [(p, scalars) for p in (53, 59) for scalars in ("gf", "pval")]
+
+        def build(p, scalars):
+            shape = self._shape(p)
+            return gf_chart_system(shape, field(p)) if scalars == "gf" else pval_chart_system(shape)
+
+        chartsolve._system_over_zp.cache_clear()
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
+        serial = {job: snapshot(build(*job)) for job in jobs}
+        chartsolve._system_over_zp.cache_clear()
+        monkeypatch.setattr(chartsolve, "_SYSTEM_CACHE", {})
+        errors = []
+
+        def work(order):
+            try:
+                for job in order:
+                    if snapshot(build(*job)) != serial[job]:
+                        errors.append(job)
+            except Exception as exc:  # collected and reported by the main thread
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            orders = [[jobs[k % 4] for k in random.Random(t).sample(range(40), 40)] for t in range(6)]
+            threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
 
 
 class TestWitnessN4:
