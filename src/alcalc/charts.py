@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .chartsolve import CVAR, ChartShape, gf_chart_system, vvar
 from .gf import GF, FElem
-from .mpoly import Poly
+from .mpoly import Poly, SolveError
 from .weyl import (
     negative_roots,
     perm_act_root,
@@ -339,7 +339,7 @@ class DegreeBoundError(ValueError):
     pass
 
 
-def build_vc_matrix(shape: ChartShape, c_values: dict, F: GF, prec: int):
+def build_vc_matrix(shape: ChartShape, c_values: dict, F: GF, prec: int, where: str):
     """Solve the special-fiber monodromy system on the c = 0 component at
     the given top coefficients and return (LoopMatrix, ChartPoint).  The
     caller is expected to re-verify with nabla_check / the Bruhat
@@ -352,7 +352,10 @@ def build_vc_matrix(shape: ChartShape, c_values: dict, F: GF, prec: int):
     assign = shape.tops(c_values, lambda v: FElem(F, v))
     if shape.kind == "colength_one":
         assign[CVAR] = FElem(F, 0)
-    full = sysF.solve(assign, shape.a_vec)
+    try:
+        full = sysF.solve(assign, shape.a_vec)
+    except SolveError as exc:
+        raise SolveError(f"{exc}, solving the special-fiber chart {where}: {shape!r}") from None
     A = sysF.numeric_A_gf(full, F, prec)
     a_values = {}
     for beta in roots:

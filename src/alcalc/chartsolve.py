@@ -375,7 +375,13 @@ class ChartSystem:
         return rows
 
     def numeric_A_gf(self, full: dict, F: GF, prec: int) -> LoopMatrix:
-        return LoopMatrix(F, self._realize(full, lambda ent: Series.from_coeffs(F, {d: c.a for d, c in enumerate(ent)}, prec)))
+        """A over F to precision prec, an entry with no nonzero coefficient exact."""
+
+        def entry(ent: list) -> Series:
+            s = Series.from_coeffs(F, {d: c.a for d, c in enumerate(ent)}, prec)
+            return s if s.coeffs else Series.zero(F)
+
+        return LoopMatrix(F, self._realize(full, entry))
 
     def numeric_A_pval(self, full: dict) -> PMatrix:
         p = self.shape.p

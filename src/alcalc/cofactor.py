@@ -6,15 +6,16 @@ entry with one `Series.dot`), and determinants and adjugates by first-row
 Laplace expansion with shared minors (`Cofactors`).
 
 Entries may come from any ring whose elements have .add, .mul, .neg,
-.scale, .derivative and .is_zero (truncated series, v-polynomials).
+.scale, .derivative and .is_exact_zero (truncated series, v-polynomials).
 Every minor is stored under its (row indices, column indices), so a
 determinant costs 2^n minors instead of n! products and all n^2
 adjugate cofactors reuse the same sub-minors.
 
-Zero rule: where zeros are exact (v-polynomials), an expansion term with
-a zero entry is skipped once the running sum exists.  A truncated series
-that is zero to its precision, O(v^k), is not an exact zero: its term is
-formed, because it bounds the precision of the result.
+Zero rule: an expansion term whose entry is an exact zero is skipped, as
+it bounds no precision, and a row of exact zeros gives its first entry.
+Every zero of a v-polynomial is exact.  A truncated series zero only to
+its precision, O(v^k), is not: its term is formed, because it bounds the
+precision of the result.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from __future__ import annotations
 class Cofactors:
     """Minors of one square matrix (a list of rows), computed on demand."""
 
-    def __init__(self, rows: list[list], *, exact_zeros: bool):
+    def __init__(self, rows: list[list]):
         self.rows = rows
         self.n = len(rows)
-        self.exact_zeros = exact_zeros
         self._minors: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
 
     def minor(self, rs: tuple[int, ...], cs: tuple[int, ...]):
@@ -47,13 +47,13 @@ class Cofactors:
         acc = None
         for k, c in enumerate(cs):
             e = row[c]
-            if acc is not None and self.exact_zeros and e.is_zero():
+            if e.is_exact_zero():
                 continue
             term = e.mul(self.minor(rest, cs[:k] + cs[k + 1 :]))
             if k % 2:
                 term = term.neg()
             acc = term if acc is None else acc.add(term)
-        return acc
+        return row[cs[0]] if acc is None else acc
 
     def det(self):
         full = tuple(range(self.n))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cofactor import Cofactors, Matrix
 from .gf import GF
-from .series import InsufficientPrecisionError, Series
+from .series import EXACT, InsufficientPrecisionError, Series
 
 
 class SingularMatrixError(ArithmeticError):
@@ -42,25 +42,15 @@ class LoopMatrix(Matrix):
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def identity(F: GF, n: int, prec: int) -> "LoopMatrix":
-        return LoopMatrix(
-            F,
-            [[Series.one(F, prec) if i == k else Series.zero(F, prec) for k in range(n)] for i in range(n)],
-        )
-
-    @staticmethod
-    def zero(F: GF, n: int, prec: int) -> "LoopMatrix":
-        return LoopMatrix(F, [[Series.zero(F, prec) for _ in range(n)] for _ in range(n)])
-
-    @staticmethod
     def monomial(F: GF, nu: tuple[int, ...], w: tuple[int, ...], prec: int) -> "LoopMatrix":
         """The matrix of v^nu * w, i.e. entry v^(nu_i) at (i, w^{-1}(i)).
 
         w is a 0-based one-line permutation; the permutation matrix has a 1
-        at (w(k), k), so column k holds v^(nu_{w(k)}).
+        at (w(k), k), so column k holds v^(nu_{w(k)}).  The other entries
+        are exact zeros.
         """
         n = len(nu)
-        rows = [[Series.zero(F, prec) for _ in range(n)] for _ in range(n)]
+        rows = [[Series.zero(F) for _ in range(n)] for _ in range(n)]
         for k in range(n):
             i = w[k]
             rows[i][k] = Series.monomial(F, 1, nu[i], prec)
@@ -77,29 +67,20 @@ class LoopMatrix(Matrix):
         cols = list(zip(*other.rows))
         return LoopMatrix(F, [[Series.dot(F, zip(row, col)) for col in cols] for row in self.rows])
 
-    def scale(self, s: Series) -> "LoopMatrix":
-        return LoopMatrix(self.F, [[e.mul(s) for e in row] for row in self.rows])
-
     def det(self) -> Series:
-        return Cofactors(self.rows, exact_zeros=False).det()
-
-    def adjugate(self) -> "LoopMatrix":
-        return self._adjugate(Cofactors(self.rows, exact_zeros=False))
-
-    def _adjugate(self, cof: Cofactors) -> "LoopMatrix":
-        if self.n == 1:
-            return LoopMatrix(self.F, [[Series.one(self.F, self.rows[0][0].prec)]])
-        return LoopMatrix(self.F, cof.adjugate())
+        return Cofactors(self.rows).det()
 
     def inverse(self) -> "LoopMatrix":
-        cof = Cofactors(self.rows, exact_zeros=False)
+        cof = Cofactors(self.rows)
         d = cof.det()
         if d.is_zero():
             raise SingularMatrixError("matrix singular to working precision")
-        return self._adjugate(cof).scale(d.inverse())
+        dinv = d.inverse()
+        adj = [[Series.one(self.F, self.rows[0][0].prec)]] if self.n == 1 else cof.adjugate()
+        return LoopMatrix(self.F, [[e.mul(dinv) for e in row] for row in adj])
 
     def min_precision(self) -> int:
-        return min(e.prec for row in self.rows for e in row)
+        return min(e.prec for row in self.rows for e in row if not e.is_exact_zero())
 
     def __repr__(self) -> str:
         return "\n".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.rows)
@@ -137,8 +118,9 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
     Inverse-free: the pivot u*v^m is never normalised.  Another live row
     with entry e in the pivot column is cleared by
     R_i <- u*R_i - (e/v^m)*R_r, one two-pair `Series.dot` per entry, with
-    u the exact polynomial of the pivot's known coefficients, so the unit
-    scaling costs no precision.
+    u the exact polynomial of the pivot's known coefficients, given a
+    precision no live inexact entry exceeds, so the unit scaling costs no
+    precision.
     Live block: row operations touch only the live columns (retired rows
     and columns are never read again), and the new zero under the pivot
     is written with the precision the products would give it.  Column
@@ -155,13 +137,14 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
     cols_left = set(range(n))
     nu = [0] * n
     w_of_col = [0] * n
-    # no operation raises a precision, so no entry ever gets above this
-    top = max(e.prec for row in W for e in row)
     for _ in range(n):
         best = unknown = None
+        top = 0
         for k in sorted(cols_left):
             for i in sorted(rows_left):
                 e = W[i][k]
+                if top < e.prec < EXACT:
+                    top = e.prec
                 cand = (e.val, k, -i)
                 if e.is_zero():
                     if unknown is None or cand < unknown:
@@ -179,8 +162,8 @@ def affine_bruhat_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, 
         cols_left.discard(c)
         pivot_row = W[r]
         pivot = pivot_row[c]
-        # every live nonzero entry has valuation >= m, so a unit of
-        # precision top - m is exact for the products below
+        # every live nonzero entry has valuation >= m and precision <= top,
+        # so a unit of precision top - m is exact for the products below
         unit = Series(A.F, 0, pivot.coeffs, top - m)
         # clear the rest of column c with legal row operations
         for i in rows_left:
@@ -225,18 +208,9 @@ def nabla_check(A: LoopMatrix, a: tuple[int, ...]) -> bool:
     n = A.n
     Ainv = A.inverse()
     dA = A.derivative()
-    amat = LoopMatrix(
-        F,
-        [
-            [
-                Series.monomial(F, F.from_int(a[i]), 0, A.rows[0][0].prec) if i == k else Series.zero(F, A.rows[0][0].prec)
-                for k in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
     term1 = dA.mul(Ainv)
-    term2 = A.mul(amat).mul(Ainv)
+    # A a is A with column k scaled by the integer a_k
+    term2 = LoopMatrix(F, [[e.scale(F.from_int(c)) for e, c in zip(row, a)] for row in A.rows]).mul(Ainv)
     unknown = None  # the first entry zero only below the precision it needs
     for i in range(n):
         for k in range(n):

@@ -38,6 +38,8 @@ class VPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    is_exact_zero = is_zero  # a polynomial has no unknown tail
+
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -114,12 +116,12 @@ class PMatrix(Matrix):
         return PMatrix(self.p, rows)
 
     def det(self) -> VPoly:
-        return Cofactors(self.rows, exact_zeros=True).det()
+        return Cofactors(self.rows).det()
 
     def adjugate(self) -> "PMatrix":
         if self.n == 1:
             return PMatrix.identity(self.p, 1)
-        return PMatrix(self.p, Cofactors(self.rows, exact_zeros=True).adjugate())
+        return PMatrix(self.p, Cofactors(self.rows).adjugate())
 
     def diag_mod_v(self) -> list[PVal]:
         return [self.rows[i][i].eval0() for i in range(self.n)]

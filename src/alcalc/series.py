@@ -5,6 +5,10 @@ A series carries (valuation, coefficient list, precision): coefficients
 are known exactly for degrees val .. prec-1 and unknown from prec on.
 Precision propagates pessimistically; any operation that would need an
 unknown coefficient raises InsufficientPrecisionError instead of guessing.
+
+Only a zero can be exact: its precision is EXACT (infinity), so it bounds
+no precision, and a product with it is again an exact zero.  A zero to
+finite precision, O(v^k), is unknown from v^k on.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from .gf import GF
 
 # the typed Kronecker slots, narrowest first: (bits, array typecode)
 _SLOTS = tuple((array(code).itemsize * 8, code) for code in "HIQ")
+
+EXACT = float("inf")  # the precision of an exact zero
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -46,6 +52,8 @@ class Series:
             coeffs.pop()
         if not coeffs:
             val = prec  # zero to precision
+        elif prec == EXACT:
+            raise ValueError("only a zero can be exact")
         self.F = F
         self.val = val
         self.coeffs = coeffs
@@ -53,7 +61,7 @@ class Series:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(F: GF, prec: int) -> "Series":
+    def zero(F: GF, prec: int = EXACT) -> "Series":
         return Series(F, prec, [], prec)
 
     @staticmethod
@@ -80,6 +88,9 @@ class Series:
         """Zero to working precision."""
         return not self.coeffs
 
+    def is_exact_zero(self) -> bool:
+        return self.prec == EXACT
+
     def coeff(self, d: int) -> int:
         if d >= self.prec:
             raise InsufficientPrecisionError(f"coefficient of v^{d} beyond precision {self.prec}")
@@ -96,7 +107,7 @@ class Series:
 
     def __repr__(self) -> str:
         if not self.coeffs:
-            return f"O(v^{self.prec})"
+            return "0" if self.prec == EXACT else f"O(v^{self.prec})"
         terms = [f"{c}*v^{self.val + i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) + f" + O(v^{self.prec})"
 
@@ -131,11 +142,11 @@ class Series:
         precision of x0.mul(y0).add(x1.mul(y1))...
 
         The precision is the least prec(x) + val(y), prec(y) + val(x) over
-        the pairs (a zero-to-precision series has val = prec).  Kronecker
-        substitution: each operand, cut to the known window of the sum,
-        is packed into one int with one slot per coefficient, every
-        product is shifted to its valuation and added into one int, and
-        each output coefficient is reduced mod q once.  A slot holds a sum
+        the pairs (a zero has val = prec, so an exact zero bounds none).
+        Kronecker substitution: each operand, cut to the known window of
+        the sum, is packed into one int with one slot per coefficient,
+        every product is shifted to its valuation and added into one int,
+        and each output coefficient is reduced mod q once.  A slot holds a sum
         of at most (sum of the shorter operand lengths) products of
         residues in 0..q-1, so no slot carries into the next.  Slots of
         16, 32 or 64 bits are packed and unpacked as typed arrays; wider
@@ -208,7 +219,7 @@ class Series:
     def scale(self, c: int) -> "Series":
         F = self.F
         if c == 0:
-            return Series.zero(F, self.prec + self.val if not self.coeffs else self.prec)
+            return Series.zero(F)
         q = F.q
         return Series(F, self.val, [c * a % q for a in self.coeffs], self.prec)
 

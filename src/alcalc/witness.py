@@ -90,9 +90,10 @@ def _m_bounds_for_reduce(u_perm) -> dict:
 
 def _unipotent_from_solution(shape: ChartShape, full: dict, F: GF, prec: int) -> LoopMatrix:
     """The lower-unipotent matrix M with entries M_beta = V_beta shifted
-    down by the window bottom (exactness of the shift is asserted)."""
+    down by the window bottom (exactness of the shift is asserted); the
+    upper entries are exact zeros."""
     n = shape.n
-    rows = [[Series.one(F, prec) if i == k else Series.zero(F, prec) for k in range(n)] for i in range(n)]
+    rows = [[Series.one(F, prec) if i == k else Series.zero(F) for k in range(n)] for i in range(n)]
     for beta in negative_roots(n):
         i, k = beta
         bot = shape.window_bottom(beta)
@@ -123,7 +124,7 @@ def _extremal_normal_form(X: LoopMatrix, u_perm, eta, shape_ext: ChartShape) -> 
     uinv = perm_inv(u_perm)
     W = LoopMatrix(F, [[X.rows[uinv[i]][uinv[k]] for k in range(n)] for i in range(n)])
     Winv = W.inverse()
-    prec_lim = min(e.prec for row in Winv.rows for e in row)
+    prec_lim = Winv.min_precision()
 
     # unknown coefficients of L: row i of L is v^{eta_i} * P_i with
     # P_{ii} = t'_i constant and P_{ik} (i > k) polynomial in the window
@@ -191,9 +192,9 @@ def _extremal_normal_form(X: LoopMatrix, u_perm, eta, shape_ext: ChartShape) -> 
         if t == 0:
             raise WitnessError("degenerate torus coordinate in the extremal factorization")
         tprime.append(t)
-    prec = W.rows[0][0].prec
-    Vrows = [[Series.zero(F, prec) for _ in range(n)] for _ in range(n)]
-    Lrows = [[Series.zero(F, prec) for _ in range(n)] for _ in range(n)]
+    prec = W.min_precision()
+    Vrows = [[Series.zero(F) for _ in range(n)] for _ in range(n)]
+    Lrows = [[Series.zero(F) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         inv_t = F.inv(tprime[i])
         Lrows[i][i] = Series.monomial(F, tprime[i], eta[i], prec)
@@ -239,7 +240,10 @@ def _integral_chart(shape: ChartShape, tops: dict, where: str) -> tuple[dict, PM
     """Solve the integral chart of `shape` at the given tops, realize it and
     certify the integral monodromy condition; returns (solution, matrix)."""
     sysO = pval_chart_system(shape)
-    full = sysO.solve(tops, shape.a_vec)
+    try:
+        full = sysO.solve(tops, shape.a_vec)
+    except SolveError as exc:
+        raise SolveError(f"{exc}, solving the integral chart {where}: {shape!r}") from None
     A = sysO.numeric_A_pval(full)
     rep = nabla_certify(A, shape.a_vec, det_vp_order=shape.n * (shape.n - 1) // 2)
     if not rep["ok"]:
@@ -332,7 +336,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
         z_val = z_minus_alpha(shape0, w0, c_values, F)
         if z_val != 0:
             raise WitnessError("constructed point does not satisfy Z = 0")
-        A_0, point = build_vc_matrix(shape0, c_values, F, prec)
+        A_0, point = build_vc_matrix(shape0, c_values, F, prec, f"at embedding {j0}")
         if f > 1:
             break
         minors_unit, a_unit = _open_checks(point)
@@ -346,7 +350,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     open_point = point
     if f > 1:
         for offset in range(family_index, family_index + 8):
-            A_F_list[j1], open_point = build_vc_matrix(shapes[j1], _units(roots, 100 + offset), F, prec)
+            A_F_list[j1], open_point = build_vc_matrix(shapes[j1], _units(roots, 100 + offset), F, prec, f"at embedding {j1}")
             minors_unit, a_unit = _open_checks(open_point)
             if all(minors_unit) and a_unit:
                 break
@@ -362,7 +366,7 @@ def _witness_at_field(setup: SetupData, F: GF, t: int, family_index: int, m_alph
     cv_by_embedding[j1] = open_point.c_values
     for m, j in enumerate(j for j in range(f) if A_F_list[j] is None):
         cv_by_embedding[j] = _units(roots, 300 + family_index + m * len(roots))
-        A_F_list[j], _ = build_vc_matrix(shapes[j], cv_by_embedding[j], F, prec)
+        A_F_list[j], _ = build_vc_matrix(shapes[j], cv_by_embedding[j], F, prec, f"at embedding {j}")
 
     # -- step 2: independent special-fiber verification, all embeddings --------
     nabla_ok = []

@@ -1,6 +1,7 @@
 """Path sets, minor identities, Z_{-alpha}, partition identities, V(c)."""
 
 import random
+import re
 from functools import partial
 
 import pytest
@@ -354,7 +355,7 @@ class TestBuildVc:
         )
         shape = ChartShape(n=3, p=p, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=sd.a_tau[0])
         F = field(p)
-        A, point = build_vc_matrix(shape, {b: 0 for b in negative_roots(3)}, F, default_precision(3, 4))
+        A, point = build_vc_matrix(shape, {b: 0 for b in negative_roots(3)}, F, default_precision(3, 4), "at embedding 0")
         zt = sd.ztilde.component(0)
         assert affine_bruhat_decompose(A) == (tuple(zt[0]), tuple(zt[1]))
 
@@ -371,7 +372,7 @@ class TestBuildVc:
         rng = random.Random(3)
         for _ in range(10):
             cv = {b: rng.randrange(p) for b in negative_roots(3)}
-            A, point = build_vc_matrix(shape, cv, F, default_precision(3, 4))
+            A, point = build_vc_matrix(shape, cv, F, default_precision(3, 4), "at embedding 0")
             assert nabla_check(A, tuple(x % p for x in shape.a_vec))
             zt = sd.ztilde.component(0)
             assert affine_bruhat_decompose(A) == (tuple(zt[0]), tuple(zt[1]))
@@ -381,7 +382,22 @@ class TestBuildVc:
         shape = ChartShape(n=3, p=p, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=(30, 14, 0))
         F = field(p)
         with pytest.raises(DegreeBoundError):
-            build_vc_matrix(shape, {(0, 1): 1}, F, 40)
+            build_vc_matrix(shape, {(0, 1): 1}, F, 40, "at embedding 0")
+
+    def test_failed_solve_names_the_chart(self, monkeypatch):
+        # a chart that does not solve is named by the caller's text and
+        # its static shape
+        from alcalc.chartsolve import ChartSystem
+        from alcalc.mpoly import SolveError
+
+        def stuck(self, assignments, a_vec):
+            raise SolveError("stuck")
+
+        monkeypatch.setattr(ChartSystem, "solve", stuck)
+        shape = ChartShape(n=3, p=53, kind="colength_one", u_perm=(2, 0, 1), conj_perm=(0, 2, 1), a_vec=(30, 14, 0))
+        want = f"stuck, solving the special-fiber chart at embedding 1: {shape!r}"
+        with pytest.raises(SolveError, match=f"^{re.escape(want)}$"):
+            build_vc_matrix(shape, {b: 1 for b in negative_roots(3)}, field(53), 40, "at embedding 1")
 
 
 def partition_lemma_check_diamonds(u_diamond, w_diamond) -> bool:

@@ -118,6 +118,19 @@ class TestExitCodes:
         assert captured.err.startswith("error: w~(rhobar,tau) deviates")
         assert "Traceback" not in captured.err
 
+    def test_failed_chart_solve_names_the_stage_and_the_chart(self, capsys):
+        # at n = 7 and the default p = 53 the first integral extremal chart
+        # is inconsistent: one error line names the stage, the embedding
+        # and the chart's static shape
+        code = run(["predicates", "fi", "--n", "7", "--trials", "3", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: inconsistent system: constant equation")
+        assert ", solving the integral chart on the extremal chart point at embedding 0: " in captured.err
+        assert "ChartShape(n=7, p=53, kind='extremal', u_perm=(1, 4, 0, 6, 3, 2, 5), conj_perm=" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from alcalc.cofactor import Cofactors
 from alcalc.gf import field
 from alcalc.loopmat import LoopMatrix, SingularMatrixError
 from alcalc.pval import PVal
@@ -17,7 +18,8 @@ from alcalc.series import Series
 
 def laplace_det(rows):
     """First-row expansion, recomputing every minor and forming every
-    term: a zero-to-precision entry still bounds the precision."""
+    term, an exact zero's too: a zero-to-precision entry still bounds the
+    precision."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -48,6 +50,8 @@ def random_series(F, rng):
     prec = rng.randrange(4, 12)
     if rng.random() < 0.2:
         return Series.zero(F, prec)  # zero to precision
+    if rng.random() < 0.1:
+        return Series.zero(F)  # exact zero
     lo = rng.randrange(-2, 3)
     return Series.from_coeffs(F, {d: rng.randrange(F.q) for d in range(lo, lo + rng.randrange(1, 5))}, prec)
 
@@ -55,8 +59,11 @@ def random_series(F, rng):
 def random_loop_matrix(F, n, rng):
     rows = [[random_series(F, rng) for _ in range(n)] for _ in range(n)]
     for k in range(n):
-        if rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.3:
             rows[0][k] = Series.zero(F, rng.randrange(4, 12))
+        elif r < 0.4:
+            rows[0][k] = Series.zero(F)
     return LoopMatrix(F, rows)
 
 
@@ -81,16 +88,16 @@ class TestLoopMatrixKernel:
             A = random_loop_matrix(F, n, rng)
             d = laplace_det(A.rows)
             assert same_series(A.det(), d)
-            if n == 1:
-                expect_adj = [[Series.one(F, A.rows[0][0].prec)]]
-            else:
+            if n > 1:
                 expect_adj = laplace_adjugate(A.rows)
-            adj = A.adjugate()
-            assert all(same_series(adj.rows[i][k], expect_adj[i][k]) for i in range(n) for k in range(n))
+                adj = Cofactors(A.rows).adjugate()
+                assert all(same_series(adj[i][k], expect_adj[i][k]) for i in range(n) for k in range(n))
             if d.is_zero():
                 with pytest.raises(SingularMatrixError):
                     A.inverse()
                 continue
+            if n == 1:
+                expect_adj = [[Series.one(F, A.rows[0][0].prec)]]
             dinv = d.inverse()
             inv = A.inverse()
             assert all(
@@ -139,8 +146,10 @@ class TestUnknownTails:
     def complete(s, rng):
         """A completion of s as an exact Laurent polynomial {degree: coeff}:
         the known window, then random coefficients on four degrees of the
-        unknown tail and zeros beyond."""
+        unknown tail and zeros beyond.  An exact zero has no tail."""
         out = {s.val + i: c for i, c in enumerate(s.coeffs) if c}
+        if s.is_exact_zero():
+            return out
         for d in range(s.prec, s.prec + 4):
             out[d] = rng.randrange(s.F.q)
         return out
@@ -189,7 +198,9 @@ class TestUnknownTails:
     @staticmethod
     def agrees(s, exact):
         """Every coefficient s claims, zeros below its valuation included,
-        is the coefficient of the exact result."""
+        is the coefficient of the exact result; an exact zero claims all."""
+        if s.is_exact_zero():
+            return not exact
         lo = min(min(exact, default=s.prec), s.val)
         return all(s.coeff(d) == exact.get(d, 0) for d in range(lo, s.prec))
 
@@ -203,24 +214,27 @@ class TestUnknownTails:
             A = random_loop_matrix(F, n, rng)
             i, k = rng.randrange(n), rng.randrange(n)
             A.rows[i][k] = Series.zero(F, rng.randrange(2, 10))  # at least one O(v^k) entry
-            det, adj = A.det(), A.adjugate()
+            det, adj = A.det(), Cofactors(A.rows).adjugate()
             inv = None if det.is_zero() else A.inverse()
             for _ in range(3):
                 C = [[self.complete(e, rng) for e in row] for row in A.rows]
                 exact_det = self.leibniz(C, q)
                 assert self.agrees(det, exact_det)
                 exact_adj = self.exact_adjugate(C, q)
-                assert all(self.agrees(adj.rows[r][c], exact_adj[r][c]) for r in range(n) for c in range(n))
+                assert all(self.agrees(adj[r][c], exact_adj[r][c]) for r in range(n) for c in range(n))
                 if inv is None:
                     continue
                 # the reported det has a known nonzero coefficient, so the
                 # completion's det is nonzero and invertible
-                top = max(e.prec for row in inv.rows for e in row)
+                top = max(e.prec for row in inv.rows for e in row if not e.is_exact_zero())
                 low = min((min(e) for row in exact_adj for e in row if e), default=0)
                 v0, w = self.inverse_coeffs(exact_det, top - low + min(exact_det) + 1, q)
                 for r in range(n):
                     for c in range(n):
                         e = inv.rows[r][c]
+                        if e.is_exact_zero():
+                            assert not exact_adj[r][c]
+                            continue
                         exact = {}
                         for d in range(min(e.val, e.prec), e.prec):
                             exact[d] = sum(
@@ -279,7 +293,7 @@ class TestMatrixAlgebra:
         same = lambda X, rows: all(same_series(X.rows[i][k], rows[i][k]) for i in range(n) for k in range(n))
         for _ in range(10):
             A, B = random_loop_matrix(F, n, rng), random_loop_matrix(F, n, rng)
-            assert same(A.mul(B), zero_start_mul(A, B, Series.zero(F, 10**6)))
+            assert same(A.mul(B), zero_start_mul(A, B, Series.zero(F)))
             assert same(A.add(B), [[A.rows[i][k].add(B.rows[i][k]) for k in range(n)] for i in range(n)])
             assert same(A.derivative(), [[e.derivative() for e in row] for row in A.rows])
             factors = [rng.randrange(F.q) for _ in range(n)]

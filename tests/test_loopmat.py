@@ -19,7 +19,7 @@ from alcalc.loopmat import (
     nabla_check,
     random_iwahori,
 )
-from alcalc.series import InsufficientPrecisionError, Series
+from alcalc.series import EXACT, InsufficientPrecisionError, Series
 
 
 # Kronecker slot widths: 16 bits (q <= 7), 32 bits (53, 521), 64 bits
@@ -45,6 +45,11 @@ def schoolbook_dot(F, pairs) -> Series:
     return Series.from_coeffs(F, total, prec)
 
 
+def identity(F, n: int, prec: int) -> LoopMatrix:
+    """The identity: ones known to precision prec, exact zeros elsewhere."""
+    return LoopMatrix.monomial(F, (0,) * n, tuple(range(n)), prec)
+
+
 def window(s: Series):
     return (s.val, s.coeffs, s.prec)
 
@@ -52,7 +57,10 @@ def window(s: Series):
 def window_eq(a: Series, b: Series) -> bool:
     """a and b agree on every degree both know: from the lower valuation up
     to the lower precision (a pessimistic comparison, which guesses nothing
-    beyond either precision)."""
+    beyond either precision).  Two exact zeros know every degree, and
+    agree on all of them."""
+    if a.is_exact_zero() and b.is_exact_zero():
+        return True
     return all(a.coeff(d) == b.coeff(d) for d in range(min(a.val, b.val), min(a.prec, b.prec)))
 
 
@@ -141,6 +149,33 @@ def normalising_decompose(A: LoopMatrix) -> tuple[tuple[int, ...], tuple[int, ..
         rows_left.discard(r)
         cols_left.discard(c)
     return tuple(nu), tuple(w_of_col)
+
+
+def amat_nabla_check(A: LoopMatrix, a: tuple[int, ...]) -> bool:
+    """Oracle for the column scaling of nabla_check: the check as it was
+    when A a was the product of A with the diagonal matrix of a, whose
+    entries (its zeros too) are known only to the precision of A[0][0]."""
+    F, n = A.F, A.n
+    prec = A.rows[0][0].prec
+    amat = LoopMatrix(
+        F, [[Series.monomial(F, F.from_int(a[i]), 0, prec) if i == k else Series.zero(F, prec) for k in range(n)] for i in range(n)]
+    )
+    Ainv = A.inverse()
+    term1 = A.derivative().mul(Ainv)
+    term2 = A.mul(amat).mul(Ainv)
+    unknown = None
+    for i in range(n):
+        for k in range(n):
+            e = term1.rows[i][k].shift(1).add(term2.rows[i][k]).shift(1)
+            if e.is_zero():
+                if unknown is None and e.prec < (1 if i > k else 0):
+                    unknown = (i, k)
+                continue
+            if e.val < 0 or (i > k and e.coeff(0) != 0):
+                return False
+    if unknown is not None:
+        raise InsufficientPrecisionError(f"E{unknown} leaves the answer open")
+    return True
 
 
 def coset_member(A: LoopMatrix, nu: tuple[int, ...], w: tuple[int, ...]) -> bool:
@@ -265,6 +300,26 @@ class TestSeries:
         prod = a.mul(inv)
         assert prod.coeff(0) == 1
         assert all(prod.coeff(d) == 0 for d in range(1, prod.prec))
+
+    def test_exact_zero(self):
+        # only a zero can be exact; it bounds no precision, and a product
+        # with it, or a unary operation on it, is again exact
+        F = field(7)
+        with pytest.raises(ValueError, match="only a zero can be exact"):
+            Series(F, 2, [3], EXACT)
+        z = Series.zero(F)
+        assert z.is_exact_zero() and Series(F, 2, [0, 0], EXACT).is_exact_zero()
+        assert repr(z) == "0" and repr(Series.zero(F, 5)) == "O(v^5)"
+        x = Series.from_coeffs(F, {-2: 3, 0: 1}, 6)
+        for y in (x, Series.zero(F, -3)):
+            assert not y.is_exact_zero()
+            assert y.mul(z).is_exact_zero() and z.mul(y).is_exact_zero()
+            assert window(y.add(z)) == window(z.add(y)) == window(y)
+            assert Series.dot(F, ((y, z), (z, y))).is_exact_zero()
+            assert window(Series.dot(F, ((y, z), (x, x)))) == window(x.mul(x))
+            assert y.scale(0).is_exact_zero()
+        assert all(u.is_exact_zero() for u in (z.neg(), z.shift(-4), z.derivative(), z.scale(3)))
+        assert not z.is_unit() and z.coeff(10**9) == 0
 
     def test_inverse_of_zero_raises(self):
         F = field(5)
@@ -427,7 +482,7 @@ class TestCompletions:
 class TestMatrixOps:
     def test_identity_inverse(self):
         F = field(5)
-        I = LoopMatrix.identity(F, 3, 20)
+        I = identity(F, 3, 20)
         assert matrix_eq(I.inverse(), I)
 
     def test_diag_v_inverse(self):
@@ -435,7 +490,7 @@ class TestMatrixOps:
         A = LoopMatrix.monomial(F, (1, 0), (0, 1), 20)
         Ainv = A.inverse()
         assert Ainv.rows[0][0].val == -1
-        assert matrix_eq(A.mul(Ainv), LoopMatrix.identity(F, 2, 18))
+        assert matrix_eq(A.mul(Ainv), identity(F, 2, 18))
 
     def test_random_iwahori_inverse_roundtrip(self):
         rng = random.Random(0)
@@ -443,11 +498,11 @@ class TestMatrixOps:
         for _ in range(25):
             n = rng.choice([2, 3, 4])
             X = random_iwahori(F, n, 24, rng)
-            assert matrix_eq(X.mul(X.inverse()), LoopMatrix.identity(F, n, 20))
+            assert matrix_eq(X.mul(X.inverse()), identity(F, n, 20))
 
     def test_singular_raises(self):
         F = field(5)
-        Z = LoopMatrix.zero(F, 2, 10)
+        Z = LoopMatrix(F, [[Series.zero(F, 10) for _ in range(2)] for _ in range(2)])
         with pytest.raises(SingularMatrixError):
             Z.inverse()
 
@@ -469,14 +524,14 @@ class TestMatrixOps:
 class TestIwahoriMember:
     def test_identity(self):
         F = field(5)
-        assert iwahori_member(LoopMatrix.identity(F, 2, 10))
+        assert iwahori_member(identity(F, 2, 10))
 
     def test_lower_unipotent(self):
         F = field(5)
-        rows = LoopMatrix.identity(F, 2, 10).rows
+        rows = identity(F, 2, 10).rows
         rows[1][0] = Series.one(F, 10)
         assert not iwahori_member(LoopMatrix(F, rows))
-        rows2 = LoopMatrix.identity(F, 2, 10).rows
+        rows2 = identity(F, 2, 10).rows
         rows2[1][0] = Series.monomial(F, 1, 1, 10)  # u_{-alpha}(v)
         assert iwahori_member(LoopMatrix(F, rows2))
 
@@ -499,7 +554,7 @@ class TestDecompose:
 
     def test_identity(self):
         F = field(5)
-        assert affine_bruhat_decompose(LoopMatrix.identity(F, 3, 30)) == ((0, 0, 0), (0, 1, 2))
+        assert affine_bruhat_decompose(identity(F, 3, 30)) == ((0, 0, 0), (0, 1, 2))
 
     def test_construct_and_recover(self):
         rng = random.Random(2)
@@ -519,7 +574,7 @@ class TestDecompose:
     def test_singular_raises(self):
         F = field(5)
         with pytest.raises(SingularMatrixError):
-            affine_bruhat_decompose(LoopMatrix.zero(F, 2, 10))
+            affine_bruhat_decompose(LoopMatrix(F, [[Series.zero(F, 10) for _ in range(2)] for _ in range(2)]))
 
     @staticmethod
     def _random_matrix(F, n, prec, rng):
@@ -705,7 +760,7 @@ class TestNabla:
         # A = v^eta u_{-alpha}(1) picks up a pole for a_1 != a_n
         F = field(7)
         M = LoopMatrix.monomial(F, (2, 1, 0), (0, 1, 2), 30)
-        U = LoopMatrix.identity(F, 3, 30)
+        U = identity(F, 3, 30)
         U.rows[2][0] = Series.one(F, 30)
         A = M.mul(U)
         assert not nabla_check(A, (1, 2, 5))
@@ -730,7 +785,7 @@ class TestNabla:
         # pole of E at a_1 != a_n still decides, and at a_1 = a_n it does not
         F = field(7)
         M = LoopMatrix.monomial(F, (2, 1, 0), (0, 1, 2), 30)
-        U = LoopMatrix.identity(F, 3, 30)
+        U = identity(F, 3, 30)
         U.rows[2][0] = Series.one(F, 30)
         A = M.mul(U)
         A.rows[0][1] = Series.zero(F, 2)
@@ -770,12 +825,58 @@ class TestNabla:
         assert returned > 200 and compared > 2 * returned
 
 
+    def test_column_scaling_matches_the_diagonal_product(self):
+        # A a by scaling column k by a_k against the product with the
+        # diagonal matrix of a, on random matrices with exact zeros, on
+        # constant upper triangular times v^nu (where E is integral) and on
+        # Iwahori products X v^nu w Y; each matrix is also given with its
+        # exact zeros weakened to O(v^prec), as they were before zeros could
+        # be exact.  Wherever the oracle answers, nabla_check gives the same
+        # answer, on the matrix and on its weakened form.
+        rng = random.Random(41)
+        answers = {True: 0, False: 0}
+        for trial in range(300):
+            n = 2 + trial % 3
+            F = field(rng.choice([5, 7]))
+            prec = rng.randrange(3, 16)
+            kind = trial // 3 % 3
+            if kind == 0:
+                A = TestDecompose._random_matrix(F, n, prec, rng)
+                for _ in range(rng.randrange(n)):
+                    A.rows[rng.randrange(n)][rng.randrange(n)] = Series.zero(F)
+            else:
+                nu = tuple(rng.randrange(-3, 4) for _ in range(n))
+                w = tuple(range(n)) if kind == 1 else tuple(rng.sample(range(n), n))
+                A = LoopMatrix.monomial(F, nu, w, prec)
+                if kind == 1:
+                    X = LoopMatrix.monomial(F, (0,) * n, w, prec + 3)
+                    for i in range(n):
+                        X.rows[i][i] = Series(F, 0, [F.rand_unit(rng)], prec + 3)
+                        for k in range(i + 1, n):
+                            X.rows[i][k] = Series(F, 0, [F.rand(rng)], prec + 3)
+                    A = X.mul(A)
+                else:
+                    A = random_iwahori(F, n, prec, rng).mul(A).mul(random_iwahori(F, n, prec, rng))
+            a = tuple(rng.randrange(F.p) for _ in range(n))
+            weak = LoopMatrix(F, [[Series.zero(F, prec) if e.is_exact_zero() else e for e in row] for row in A.rows])
+            for B in (A, weak):
+                if B.rows[0][0].is_exact_zero():
+                    continue  # the oracle takes its precision from A[0][0]
+                try:
+                    want = amat_nabla_check(B, a)
+                except ArithmeticError:
+                    continue
+                answers[want] += 1
+                assert nabla_check(B, a) is want and nabla_check(A, a) is want, (trial, A, a)
+        assert answers[True] > 50 and answers[False] > 50, answers
+
+
 class TestRowReduce:
     def test_already_lower_unipotent_with_unit_conditions(self):
         # M with unit -alpha entry and unit minors reduces with recorded ops
         F = field(53)
         prec = 40
-        M = LoopMatrix.identity(F, 3, prec)
+        M = identity(F, 3, prec)
         M.rows[1][0] = Series.from_coeffs(F, {0: 3}, prec)
         M.rows[2][0] = Series.from_coeffs(F, {0: 7}, prec)
         M.rows[2][1] = Series.from_coeffs(F, {0: 5}, prec)
@@ -791,7 +892,7 @@ class TestRowReduce:
         F = field(53)
         prec = 40
         for _ in range(20):
-            M = LoopMatrix.identity(F, 3, prec)
+            M = identity(F, 3, prec)
             a21, a32 = rng.randrange(1, 53), rng.randrange(1, 53)
             a31 = rng.randrange(1, 53)
             if (a21 * a32 - a31) % 53 == 0:
@@ -814,7 +915,7 @@ class TestRowReduce:
         # a_31 = a_21 a_32 makes M_2 singular
         F = field(53)
         prec = 40
-        M = LoopMatrix.identity(F, 3, prec)
+        M = identity(F, 3, prec)
         M.rows[1][0] = Series.from_coeffs(F, {0: 3}, prec)
         M.rows[2][1] = Series.from_coeffs(F, {0: 5}, prec)
         M.rows[2][0] = Series.from_coeffs(F, {0: 15}, prec)
@@ -824,7 +925,7 @@ class TestRowReduce:
     def test_unit_condition_2_named(self):
         F = field(53)
         prec = 40
-        M = LoopMatrix.identity(F, 3, prec)
+        M = identity(F, 3, prec)
         M.rows[2][0] = Series.monomial(F, 1, 1, prec)  # valuation 1: not a unit
         with pytest.raises(RowReduceError, match="condition \\(2\\)"):
             iwahori_row_reduce(M, 0, 2)
