@@ -106,12 +106,8 @@ def _deep_omega(n: int, f: int, p: int) -> Weight:
 
 
 def _special_pairs(n: int, f: int):
-    """Normalized case-(a) special pairs (w, u, j0), canonically ordered;
-    a ConfigError when there are none."""
-    pairs = serre.special_pairs(n, f)
-    if not pairs:
-        raise ConfigError(f"no special pairs exist for n = {n}")
-    return pairs
+    """serre.special_pairs, for callers that take n >= 3 (none exist at n = 2)."""
+    return serre.special_pairs(n, f)
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -170,15 +166,15 @@ def cmd_shapes_classify(cfg, report: Report):
 
 
 def cmd_setup_build(cfg, report: Report):
-    n, f, p = cfg["n"], cfg["f"], cfg["p"]
+    n, f, p = _n_within(cfg, "setup build", 3, 6), cfg["f"], cfg["p"]
     pairs = _special_pairs(n, f)
-    idx = cfg["pair"] % len(pairs)
+    idx = cfg["pair"] % pairs.size
     w, u, j0 = pairs[idx]
     sd = serre.build_setup(weyl.restricted_lift(w), weyl.restricted_lift(u), _deep_omega(n, f, p), p)
     ok_shape = all(
         sd.ztilde_shape[j] == (weyl.Colength.COLENGTH_ONE if j == sd.j0 else weyl.Colength.EXTREMAL) for j in range(f)
     ) and all(c == weyl.Colength.EXTREMAL for c in sd.ztilde_prime_shape)
-    report.add("setup_shapes", ok_shape, {"setup": sd.to_json(), "pair_index": idx, "num_pairs": len(pairs)})
+    report.add("setup_shapes", ok_shape, {"setup": sd.to_json(), "pair_index": idx, "num_pairs": pairs.size})
 
 
 def cmd_verify_weyl(cfg, report: Report):
@@ -357,9 +353,9 @@ def cmd_verify_nabla(cfg, report: Report):
 
 
 def cmd_witness_triple(cfg, report: Report):
-    n, f, p = cfg["n"], cfg["f"], cfg["p"]
+    n, f, p = _n_within(cfg, "witness triple", 3, 6), cfg["f"], cfg["p"]
     pairs = _special_pairs(n, f)
-    w, u, _ = pairs[cfg["pair"] % len(pairs)]
+    w, u, _ = pairs[cfg["pair"] % pairs.size]
     sd = serre.build_setup(weyl.restricted_lift(w), weyl.restricted_lift(u), _deep_omega(n, f, p), p)
     res = witness.witness_triple_intersection(sd, t=cfg["t"])
     flat_ok = all(v if not isinstance(v, list) else all(v) for v in res.checks.values())
@@ -467,8 +463,12 @@ def run(argv=None) -> int:
         return 1
     payload = emit_report(report, cfg["format"])
     if cfg["out"]:
-        with open(cfg["out"], "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg["out"], "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.buffer.write(payload)
     return report.exit_code()

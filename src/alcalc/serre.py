@@ -14,9 +14,10 @@ F(pi^{-1}(w~) . (omega - eta)).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 
 from .pval import PVal
 from .weyl import (
@@ -33,7 +34,6 @@ from .weyl import (
     eta_weight,
     inverse,
     is_restricted,
-    ncycle,
     nu_w,
     pairing,
     perm_act_vec,
@@ -255,14 +255,10 @@ def normalize_to_case_a(w: PermTuple, u: PermTuple, j0: int, i0: int, k0: int):
     (g the n-cycle), turning a case-B pair into case A.  Returns
     (w', u', delta)."""
     n = w.n
-    case = classify_case(w, u, j0, i0, k0)
-    if case == "A":
+    if classify_case(w, u, j0, i0, k0) == "A":
         return w, u, PermTuple.identity(n, w.f)
-    g = ncycle(n)
     power = (n - perm_inv(w.perms[j0])[i0]) % n
-    gk = perm_identity(n)
-    for _ in range(power):
-        gk = perm_mul(gk, g)
+    gk = tuple((i + power) % n for i in range(n))  # g^power, g: i -> i + 1 mod n
     delta = PermTuple.of([gk if j == j0 else perm_identity(n) for j in range(w.f)])
     w2, u2 = w.mul(delta), u.mul(delta)
     if classify_case(w2, u2, j0, i0, k0) != "A":
@@ -292,33 +288,52 @@ def _special_partner(w: tuple[int, ...]):
     return None
 
 
-def special_pairs(n: int, f: int) -> list[tuple[PermTuple, PermTuple, int]]:
-    """All special pairs (w, u, j0) with w and u differing at j0 only,
-    case-B pairs normalized to case A, without repeats and sorted by
-    (j0, w, u).
-
-    Specialness and the case-A normalization only look at embedding j0,
-    so each permutation is tested once and the normalized (w_j0, u_j0)
-    heads are then combined with every choice at the other embeddings."""
-    i0, k0 = 0, n - 1
+@lru_cache(maxsize=None)
+def _special_heads(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The case-(a) normalized (w_j0, u_j0) of every special w, sorted;
+    normalizing keeps u = s_alpha w, so they sort by w alone."""
     heads = set()
     for w in all_perms(n):
         u = _special_partner(w)
-        if u is None:
-            continue
-        wt, ut = PermTuple.of([w]), PermTuple.of([u])
-        if classify_case(wt, ut, 0, i0, k0) == "B":
-            wt, ut, _ = normalize_to_case_a(wt, ut, 0, i0, k0)
-        heads.add((wt.perms[0], ut.perms[0]))
-    out = []
-    for j0 in range(f):
-        for rest in product(all_perms(n), repeat=f - 1):
-            for wj, uj in heads:
-                w = PermTuple.of(rest[:j0] + (wj,) + rest[j0:])
-                u = PermTuple.of(rest[:j0] + (uj,) + rest[j0:])
-                out.append((w, u, j0))
-    out.sort(key=lambda t: (t[2], t[0].perms, t[1].perms))
-    return out
+        if u is not None:
+            wt, ut, _ = normalize_to_case_a(PermTuple.of([w]), PermTuple.of([u]), 0, 0, n - 1)
+            heads.add((wt.perms[0], ut.perms[0]))
+    return tuple(sorted(heads))
+
+
+@dataclass(frozen=True)
+class PairIndex(Sequence):
+    """The special pairs of special_pairs(n, f), each decoded from its index."""
+
+    f: int
+    heads: tuple
+    others: tuple
+    size: int  # their number, which len() cannot return beyond sys.maxsize (f >= 24 at n = 3)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> tuple[PermTuple, PermTuple, int]:
+        k = range(self.size)[k]  # as on a list: negative k counts from the end, IndexError beyond
+        j0, k = divmod(k, self.size // self.f)
+        digits = []
+        for j in reversed(range(self.f)):
+            alphabet = self.heads if j == j0 else self.others
+            k, d = divmod(k, len(alphabet))
+            digits.append(alphabet[d])
+        w, u = zip(*reversed(digits))
+        return PermTuple.of(w), PermTuple.of(u), j0
+
+
+def special_pairs(n: int, f: int) -> PairIndex:
+    """All special pairs (w, u, j0) with w and u differing at j0 only,
+    case-B pairs normalized to case A, sorted by (j0, w, u), as a read-only
+    sequence of f (n!)^(f-1) h pairs: specialness and the normalization only
+    look at embedding j0, so a pair is one of the h normalized heads at j0
+    and any permutation elsewhere, and entry k is k in mixed radix, j0 first,
+    then one digit per embedding (radix h at j0, n! elsewhere)."""
+    heads, others = _special_heads(n), tuple((w, w) for w in all_perms(n))
+    return PairIndex(f, heads, others, f * len(others) ** (f - 1) * len(heads))
 
 
 def enumerate_special(n: int, f: int):
@@ -402,10 +417,6 @@ class SetupData:
         }
 
 
-def _tame_type(s_perms, mu_rows, p) -> TameTypePresentation:
-    return TameTypePresentation(PermTuple.of(s_perms), Weight.of(mu_rows), p)
-
-
 def a_tau_vector(tp: TameTypePresentation) -> tuple[tuple[int, ...], ...]:
     """The integer lift of the monodromy parameter: a_{tau,j} =
     s_j^{-1}(mu_j + eta)."""
@@ -428,8 +439,6 @@ def build_setup(w_diamond: ExtAffine, u_diamond: ExtAffine, omega: Weight, p: in
     if len(diffs) != 1:
         raise ValueError("w and u must differ at exactly one embedding")
     j0 = diffs[0]
-    if w.perms[j0] != perm_mul(transposition(n, i0, k0), u.perms[j0]):
-        raise ValueError("w != s_alpha u at the distinguished embedding")
     case = classify_case(w, u, j0, i0, k0)
 
     sigma = SerreWeightLAP(w_diamond, omega, p)
@@ -446,25 +455,16 @@ def build_setup(w_diamond: ExtAffine, u_diamond: ExtAffine, omega: Weight, p: in
     nus_w = [nu_w(w.perms[j]) for j in range(f)]
     nus_u = [nu_w(u.perms[j]) for j in range(f)]
 
-    def shifted(vecs, sub_eta: bool):
-        rows = []
-        for j in range(f):
-            base = vecs[j]
-            if sub_eta:
-                base = tuple(a - e for a, e in zip(base, eta))
-            rows.append(base)
-        return rows
-
     # rhobar = tau(pi^{-1}(w)^{-1} u, omega + pi^{-1}(w)^{-1}(nu_u))
     def build_type(left: PermTuple, right: PermTuple, nus, sub_eta: bool) -> TameTypePresentation:
         s_rows = []
         mu_rows = []
-        vec_rows = shifted(nus, sub_eta)
+        vec_rows = [tuple(a - e for a, e in zip(v, eta)) if sub_eta else v for v in nus]
         for j in range(f):
             lw = left.perms[(j - 1) % f]
             s_rows.append(perm_mul(perm_inv(lw), right.perms[j]))
             mu_rows.append(tuple(o + c for o, c in zip(omega.rows[j], perm_act_vec(perm_inv(lw), vec_rows[j]))))
-        return _tame_type(s_rows, mu_rows, p)
+        return TameTypePresentation(PermTuple.of(s_rows), Weight.of(mu_rows), p)
 
     rhobar = build_type(w, u, nus_u, sub_eta=False)
     tau = build_type(w, w, nus_w, sub_eta=True)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: predicates fi needs 2 <= n <= 8, got n = {n}\n"
 
+    @pytest.mark.parametrize("command", [("setup", "build"), ("witness", "triple")])
+    @pytest.mark.parametrize("n", ["2", "7", "40"])
+    def test_pair_n_out_of_range_is_one_with_message(self, capsys, command, n):
+        # no special pair exists at n = 2, and n = 7 had not finished a
+        # setup after 90 s, so both are refused before any work
+        assert run([*command, "--n", n, "--p", "1009"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {' '.join(command)} needs 3 <= n <= 6, got n = {n}\n"
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_out_is_one_with_message(self, tmp_path, capsys, target):
+        # a missing directory, or a directory given as the report file
+        code = run(["alcoves", "enumerate", "--n", "3", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write report: ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("n, f", [("3", "20000"), ("8", "1001"), ("4", "10000000000")])
     def test_special_f_above_its_bound_is_one_with_message(self, capsys, n, f):
         # the proportion is printed in full, so a larger f would outgrow
@@ -130,6 +151,29 @@ class TestExitCodes:
         assert ", solving the integral chart on the extremal chart point at embedding 0: " in captured.err
         assert "ChartShape(n=7, p=53, kind='extremal', u_perm=(1, 4, 0, 6, 3, 2, 5), conj_perm=" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestPairIndex:
+    def test_last_pair_of_a_million_without_the_list(self, capsys):
+        # (n, f) = (5, 3) has 1,036,800 special pairs; reading the last one
+        # builds one pair, not the list of all of them (hundreds of MB)
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["setup", "build", "--n", "5", "--f", "3", "--p", "101", "--pair", "1036799"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        detail = json.loads(out)["checks"][0]["detail"]
+        assert (detail["pair_index"], detail["num_pairs"]) == (1036799, 1036800)
+        assert peak < 50 * 2**20
+
+    def test_more_pairs_than_len_returns(self, capsys):
+        # 24 * 6^23 * 2 pairs at (3, 24), beyond sys.maxsize: reported in full
+        code, out = run_cli(["setup", "build", "--n", "3", "--f", "24", "--p", "1009", "--pair", "-1"], capsys)
+        assert code == 0
+        detail = json.loads(out)["checks"][0]["detail"]
+        assert detail["pair_index"] + 1 == detail["num_pairs"] == 24 * 6**23 * 2
 
 
 class TestDeterminism:

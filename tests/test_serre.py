@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,28 @@ def _special_pairs_by_product(n, f):
     return out
 
 
+def _special_pairs_by_sort(n, f):
+    """The order oracle: the normalized heads combined with every choice at
+    the other embeddings, all pairs built and sorted by (j0, w, u)."""
+    i0, k0 = 0, n - 1
+    heads = set()
+    for w in all_perms(n):
+        u = _special_partner(w)
+        if u is None:
+            continue
+        wt, ut = PermTuple.of([w]), PermTuple.of([u])
+        if classify_case(wt, ut, 0, i0, k0) == "B":
+            wt, ut, _ = normalize_to_case_a(wt, ut, 0, i0, k0)
+        heads.add((wt.perms[0], ut.perms[0]))
+    out = []
+    for j0 in range(f):
+        for rest in itertools.product(all_perms(n), repeat=f - 1):
+            for wj, uj in heads:
+                out.append((rest[:j0] + (wj,) + rest[j0:], rest[:j0] + (uj,) + rest[j0:], j0))
+    out.sort(key=lambda t: (t[2], t[0], t[1]))
+    return out
+
+
 class TestSpecialPairs:
     @pytest.mark.parametrize("n, f", [(3, 1), (4, 1), (3, 2), (4, 2), (3, 3)])
     def test_matches_product_search(self, n, f):
@@ -266,8 +289,49 @@ class TestSpecialPairs:
         order = [(j0, w, u) for w, u, j0 in keys]
         assert order == sorted(order)
 
+    @pytest.mark.parametrize("n, f", [(2, 1), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)])
+    def test_index_matches_the_sorted_list(self, n, f):
+        # every shape with at most 12,960 pairs: the same entries in the
+        # same order, read by iteration and by index
+        pairs = special_pairs(n, f)
+        oracle = _special_pairs_by_sort(n, f)
+        assert len(pairs) == len(oracle) <= 12_960
+        assert [(w.perms, u.perms, j0) for w, u, j0 in pairs] == oracle
+        for k in range(0, len(oracle), 97):
+            w, u, j0 = pairs[k]
+            assert (w.perms, u.perms, j0) == oracle[k]
+
+    def test_length_in_closed_form(self):
+        # f (n!)^(f-1) h with h = 24 heads at n = 5 and 120 at n = 6,
+        # read without building a pair
+        assert len(special_pairs(5, 4)) == 165_888_000 == 4 * 120**3 * 24
+        assert len(special_pairs(6, 3)) == 186_624_000 == 3 * 720**2 * 120
+
+    def test_size_beyond_what_len_returns(self):
+        # len() stops at sys.maxsize; `size` and indexing do not
+        pairs = special_pairs(3, 24)
+        assert pairs.size == 24 * 6**23 * 2 > sys.maxsize
+        with pytest.raises(OverflowError):
+            len(pairs)
+        # the last pair: the last head at the last embedding, the largest
+        # permutation at every other one
+        w, u, j0 = pairs[-1]
+        head_w, head_u, _ = special_pairs(3, 1)[-1]
+        assert (w.perms, u.perms, j0) == (((2, 1, 0),) * 23 + head_w.perms, ((2, 1, 0),) * 23 + head_u.perms, 23)
+
+    def test_indices_as_on_a_list(self):
+        pairs = special_pairs(5, 4)
+        size = len(pairs)
+        assert pairs[-1] == pairs[size - 1] and pairs[-size] == pairs[0]
+        assert pairs[-1][2] == 3 and pairs[0][2] == 0
+        for k in (size, -size - 1, 10**30):
+            with pytest.raises(IndexError):
+                pairs[k]
+        with pytest.raises(IndexError):
+            special_pairs(2, 1)[0]
+
     def test_none_for_n2(self):
-        assert special_pairs(2, 1) == []
+        assert len(special_pairs(2, 1)) == 0
 
 
 class TestClassifyCase:
